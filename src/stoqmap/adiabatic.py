@@ -16,10 +16,8 @@ import scipy.sparse as sp
 from . import mapping
 from .clock import QuantumCircuit, build_ff
 from .errors import ContractError, ResourceError
-
-DENSE_CAP = 4096
-# Ground-space projection uses this degeneracy window.
-DEGENERACY_TOL = 1e-8
+from .pauli import DENSE_CAP
+from .spectra import DEGENERACY_TOL
 
 
 @dataclass(eq=False)

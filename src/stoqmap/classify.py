@@ -15,9 +15,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
+from .pauli import DENSE_CAP
 
 DEFAULT_TOL = 1e-10
-DENSE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,15 @@ def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int) -> float:
 
 def classify(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> MatrixClassFlags:
     """Evaluate all structural flags for a square matrix."""
-    A = _as_csr(M)
+    return _classify(_as_csr(M), tol, lambda A: _min_eigenvalue(A, dense_cap))
+
+
+def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
+    """classify(), taking the lowest eigenvalue of a Hermitian A from lowest(A).
+
+    Callers that already hold the spectrum pass it in here, so the psd
+    flag costs no second diagonalization.
+    """
     if A.shape[0] != A.shape[1]:
         raise ContractError("classify expects a square matrix")
     data = A.data
@@ -107,7 +115,7 @@ def classify(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> MatrixC
     psd = False
     if hermitian:
         projector = _max_abs((A @ A) - A) <= tol
-        psd = _min_eigenvalue(A, dense_cap) >= -tol
+        psd = lowest(A) >= -tol
 
     return MatrixClassFlags(
         hermitian=hermitian,

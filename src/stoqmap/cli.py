@@ -27,15 +27,15 @@ from .clock import (
 )
 from .errors import ContractError, ConvergenceError, ResourceError
 from .mapping import add_ancilla_penalty, add_penalty_complex, stochastize, stochastize_complex, stoquastize
-from .pauli import build_matrix
-from .protocols import ExcitedEnergyProblem, decide_sat, reduce_qsat
-from .spectra import eig_dense, spectral_report
+from .pauli import DENSE_CAP, build_matrix
+from .protocols import ExcitedEnergyProblem, _verdict, decide_sat, reduce_qsat
+from .spectra import _flags_and_spectrum, eig_dense, spectral_report
 
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--dense-cap", type=int, default=4096)
+    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -107,10 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_result(M, tol: float, dense_cap: int) -> dict:
-    return fmt.flags_to_data(classify(M, tol=tol, dense_cap=dense_cap))
-
-
 def _emit(args, results: dict, checks: list[dict], argv: list[str]) -> None:
     report = fmt.make_report(argv, args.seed, args.tol, results, checks)
     fmt.write_report(report, args.out)
@@ -127,7 +123,7 @@ def _cmd_ham(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
     M = build_matrix(H)
     if args.action == "check":
-        flags = _flags_result(M, args.tol, args.dense_cap)
+        flags = fmt.flags_to_data(classify(M, tol=args.tol, dense_cap=args.dense_cap))
         results = {
             "n": H.n,
             "num_terms": H.num_terms,
@@ -168,7 +164,8 @@ def _cmd_map(args, argv) -> int:
             mapped = add_penalty_complex(mapped, p)
         sector = "v1"
     realized = mapped.realize()
-    flags = _flags_result(realized, args.tol, args.dense_cap)
+    flags, spec = _flags_and_spectrum(realized, args.tol, args.dense_cap, compute_vectors=False)
+    flags = fmt.flags_to_data(flags)
     checks = [_check("hermitian", flags["hermitian"])]
     if args.action == "stoquastic":
         checks.append(_check("stoquastic", flags["stoquastic"]))
@@ -189,9 +186,8 @@ def _cmd_map(args, argv) -> int:
         "warnings": list(mapped.warnings),
         "flags": flags,
     }
-    if realized.shape[0] <= args.dense_cap:
-        vals = eig_dense(realized, dense_cap=args.dense_cap, compute_vectors=False).eigenvalues
-        results["eigenvalues"] = [float(np.real(v)) for v in vals]
+    if spec is not None:
+        results["eigenvalues"] = [float(np.real(v)) for v in spec.eigenvalues]
     _emit(args, results, checks, argv)
     return 0 if all(c["passed"] for c in checks) else 1
 
@@ -314,7 +310,7 @@ def _cmd_protocol(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
     problem = ExcitedEnergyProblem(H=H, c=args.c, a=args.a, b=args.b)
     lam = problem.lambda_c()
-    verdict = problem.decide()
+    verdict = _verdict(lam, problem.a, problem.b)
     results = {
         "n": H.n,
         "c": args.c,
@@ -331,12 +327,7 @@ def _cmd_sat(args, argv) -> int:
     instance = fmt.load_sat_instance(args.instance)
     if args.action == "reduce":
         reduced = reduce_qsat(instance)
-        data = fmt.sat_instance_to_data(reduced)
-        if args.out is None:
-            print(fmt.report_to_json(data), end="")
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(fmt.report_to_json(data))
+        fmt.write_report(fmt.sat_instance_to_data(reduced), args.out)
         return 0
     decision = decide_sat(instance, tol=args.tol, dense_cap=args.dense_cap)
     results = {

@@ -15,8 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .errors import ContractError
-from .pauli import LocalHamiltonian, embed, pauli_decompose, remap_qubits
+from .errors import ContractError, ResourceError
+from .pauli import (
+    MAX_QUBITS, LocalHamiltonian, _embed_entries, _sum_terms, embed, pauli_decompose, remap_qubits,
+)
 
 GATE_NAMES = ("CNOT", "ROT", "ID", "CUSTOM")
 
@@ -44,6 +46,8 @@ class Gate:
         elif self.name == "ROT":
             if len(self.qubits) != 1 or self.angle is None:
                 raise ContractError("ROT takes one qubit and an angle")
+            if not np.isfinite(self.angle):
+                raise ContractError(f"ROT angle must be finite, got {self.angle!r}")
         elif self.name == "ID":
             if self.qubits:
                 raise ContractError("ID takes no qubits")
@@ -192,20 +196,19 @@ class FFHamiltonian:
     def realize_term(self, i: int) -> sp.csr_matrix:
         return self.terms[i].realize(self.total_qubits)
 
+    def _sum(self, terms) -> sp.csr_matrix:
+        return _sum_terms(self.dim, ((1.0, *_embed_entries(t.local, t.qubits, self.total_qubits))
+                                     for t in terms))
+
     def realize(self) -> sp.csr_matrix:
-        acc = sp.csr_matrix((self.dim, self.dim))
-        for t in self.terms:
-            acc = acc + t.realize(self.total_qubits)
-        return sp.csr_matrix(acc)
+        return self._sum(self.terms)
 
     def realize_parts(self) -> dict[str, sp.csr_matrix]:
         """Sum of terms grouped by family: pin, clock, init, prop."""
-        parts: dict[str, sp.csr_matrix] = {}
+        families: dict[str, list[ClockTerm]] = {}
         for t in self.terms:
-            family = t.label.split("_")[0]
-            cur = parts.get(family, sp.csr_matrix((self.dim, self.dim)))
-            parts[family] = cur + t.realize(self.total_qubits)
-        return {k: sp.csr_matrix(v) for k, v in parts.items()}
+            families.setdefault(t.label.split("_")[0], []).append(t)
+        return {family: self._sum(terms) for family, terms in families.items()}
 
 
 def _ket_projector(dim: int, a: int, b: int) -> np.ndarray:
@@ -221,6 +224,10 @@ def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
     L, n = circuit.L, circuit.n
     if L < 1:
         raise ContractError("circuit needs at least one gate")
+    if n + L + 1 > MAX_QUBITS:
+        raise ResourceError(
+            f"clock register needs n + L + 1 = {n + L + 1} qubits, above the {MAX_QUBITS}-qubit cap"
+        )
     b = float(np.sqrt(s * (1.0 - s)))
     c = lambda j: n + j - 1
     terms: list[ClockTerm] = []

@@ -53,7 +53,11 @@ def matrix_to_json(M) -> list:
 
 
 def json_to_matrix(rows, where: str) -> np.ndarray:
+    _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
+             where, "matrix must be a nonempty list of nonempty rows")
+    _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
     out = np.array([[json_to_complex(z, where) for z in row] for row in rows])
+    _require(bool(np.all(np.isfinite(out))), where, "matrix has non-finite entries")
     if np.max(np.abs(out.imag)) == 0.0:
         out = out.real
     return out

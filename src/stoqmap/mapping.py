@@ -9,20 +9,25 @@ the original spectrum inside an invariant ancilla sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from .classify import _min_eigenvalue
 from .errors import ContractError
-from .pauli import LocalHamiltonian, build_matrix, realize_string
+from .pauli import (
+    _PHASE,
+    DENSE_CAP,
+    LocalHamiltonian,
+    _csr_entries,
+    _string_phases,
+    _sum_terms,
+    build_matrix,
+)
 
-_I2 = sp.identity(2, format="csr")
-_X2 = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-# F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j.
+# F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j; _cycle_terms places F^k by index arithmetic.
 _F = sp.csr_matrix((np.ones(4), ((np.arange(4) - 1) % 4, np.arange(4))), shape=(4, 4))
-_F_POW = [sp.identity(4, format="csr"), _F, _F @ _F, _F @ _F @ _F]
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -76,10 +81,7 @@ class MappedHamiltonian:
         return tuple(self.sector_basis)
 
     def realize(self) -> sp.csr_matrix:
-        acc = sp.csr_matrix((self.dim, self.dim))
-        for w, G in self.terms:
-            acc = acc + w * G
-        return sp.csr_matrix(acc)
+        return _sum_terms(self.dim, ((w, *_csr_entries(G)) for w, G in self.terms))
 
     def sector_isometry(self, sector: str) -> sp.csr_matrix:
         basis = self.sector_basis
@@ -108,25 +110,46 @@ class SectorDecomposition:
         return self.operators[j]
 
 
-def _positive_parts(mat: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Split a real matrix into (positive part, negated negative part)."""
-    coo = sp.coo_matrix(mat)
-    vals = coo.data.real
-    pos = vals > 0
-    neg = vals < 0
-    shape = coo.shape
-    P = sp.csr_matrix((vals[pos], (coo.row[pos], coo.col[pos])), shape=shape)
-    Q = sp.csr_matrix((-vals[neg], (coo.row[neg], coo.col[neg])), shape=shape)
-    return P, Q
+def _cycle_terms(H: LocalHamiltonian, m: int, shift: int = 0, value: float = 1.0):
+    """(alpha, string image) for every term of H, on n + log2(m) qubits.
+
+    An entry i^k at (r, c) becomes the ancilla block entries
+    (r m + (a - step) mod m, c m + a), a = 0..m-1, each equal to `value`,
+    with step = (k m/4 + shift) mod m. For m = 2 that is I or X on one
+    ancilla qubit; for m = 4 it is F^k.
+    """
+    dim = (1 << H.n) * m
+    a = np.arange(m)
+    for alpha, string in H.terms:
+        if m == 2 and not string.has_real_entries():
+            raise ContractError(f"term {string} has complex entries; use stochastize_complex")
+        rows, cols, k = _string_phases(string, H.n)
+        step = (k * m // 4 + shift) % m
+        r = (rows[:, None] * m + (a[None, :] - step[:, None]) % m).ravel()
+        c = (cols[:, None] * m + a[None, :]).ravel()
+        yield float(alpha), _sum_terms(dim, [(value, r, c, np.ones(r.size))])
 
 
-def _real_string_matrix(string, n: int) -> sp.csr_matrix:
-    P = realize_string(string, n)
-    if np.iscomplexobj(P.data) and P.nnz and np.max(np.abs(P.data.imag)) > 0:
-        raise ContractError(
-            f"term {string} has complex entries; use stochastize_complex"
-        )
-    return sp.csr_matrix(P.real)
+def _penalty_pieces(n: int, total_qubits: int, weight: float) -> list[tuple]:
+    """(1 - weight)/2 (1 + X on qubit n) as two _sum_terms pieces.
+
+    Qubit n is the only ancilla of the Z2 map and the first ancilla of
+    the Z4 map.
+    """
+    idx = np.arange(1 << total_qubits)
+    ones = np.ones(idx.size)
+    half = (1.0 - weight) / 2.0
+    return [(half, idx, idx, ones), (half, idx ^ (1 << (total_qubits - 1 - n)), idx, ones)]
+
+
+def _with_penalty(mapped: MappedHamiltonian, p: float, kind: str, warnings) -> MappedHamiltonian:
+    """p * mapped + (1-p)/2 (1 + X on the first ancilla), as a mapped Hamiltonian."""
+    penalty = tuple(
+        (w, _sum_terms(mapped.dim, [(1.0, r, c, v)]))
+        for w, r, c, v in _penalty_pieces(mapped.n, mapped.total_qubits, p)
+    )
+    terms = tuple((p * w, G) for w, G in mapped.terms) + penalty
+    return replace(mapped, terms=terms, kind=kind, p=p, warnings=warnings)
 
 
 def stoquastize(H: LocalHamiltonian) -> MappedHamiltonian:
@@ -136,14 +159,12 @@ def stoquastize(H: LocalHamiltonian) -> MappedHamiltonian:
     through 1 -> I, -1 -> X on the ancilla. The realized matrix equals
     H (x) |-><-|  -  Hbar (x) |+><+|, so the |-> sector reproduces H.
     """
-    terms = []
-    for alpha, string in H.terms:
-        T = -1.0 * _real_string_matrix(string, H.n)
-        Tp, Tm = _positive_parts(T)
-        Gt = sp.kron(Tp, _I2, format="csr") + sp.kron(Tm, _X2, format="csr")
-        terms.append((float(alpha), sp.csr_matrix(-Gt)))
     return MappedHamiltonian(
-        n=H.n, ancilla_count=1, terms=tuple(terms), normalization=H.N, kind="stoquastic"
+        n=H.n,
+        ancilla_count=1,
+        terms=tuple(_cycle_terms(H, 2, shift=1, value=-1.0)),
+        normalization=H.N,
+        kind="stoquastic",
     )
 
 
@@ -157,14 +178,12 @@ def stochastize(H: LocalHamiltonian) -> MappedHamiltonian:
     if not H.terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
-    terms = []
-    for alpha, string in H.terms:
-        S = _real_string_matrix(string, H.n)
-        Sp, Sm = _positive_parts(S)
-        G = sp.kron(Sp, _I2, format="csr") + sp.kron(Sm, _X2, format="csr")
-        terms.append((float(alpha) / N, sp.csr_matrix(G)))
     return MappedHamiltonian(
-        n=H.n, ancilla_count=1, terms=tuple(terms), normalization=N, kind="stochastic"
+        n=H.n,
+        ancilla_count=1,
+        terms=tuple((alpha / N, G) for alpha, G in _cycle_terms(H, 2)),
+        normalization=N,
+        kind="stochastic",
     )
 
 
@@ -182,20 +201,7 @@ def add_ancilla_penalty(mapped: MappedHamiltonian, p: float) -> MappedHamiltonia
     warnings = mapped.warnings
     if p >= 1.0 / 3.0:
         warnings = warnings + (f"p={p} is not < 1/3; spectral split not guaranteed",)
-    dim = mapped.dim
-    eye = sp.identity(dim, format="csr")
-    x_anc = sp.kron(sp.identity(dim // 2, format="csr"), _X2, format="csr")
-    terms = tuple((p * w, G) for w, G in mapped.terms)
-    terms = terms + (((1.0 - p) / 2.0, eye), ((1.0 - p) / 2.0, x_anc))
-    return MappedHamiltonian(
-        n=mapped.n,
-        ancilla_count=1,
-        terms=terms,
-        normalization=mapped.normalization,
-        kind="stochastic-penalty",
-        p=p,
-        warnings=warnings,
-    )
+    return _with_penalty(mapped, p, "stochastic-penalty", warnings)
 
 
 def stochastize_complex(H: LocalHamiltonian) -> tuple[MappedHamiltonian, SectorDecomposition]:
@@ -209,31 +215,18 @@ def stochastize_complex(H: LocalHamiltonian) -> tuple[MappedHamiltonian, SectorD
     if not H.terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
-    dim = 1 << H.n
-    terms = []
-    sector_ops = {j: sp.csr_matrix((dim, dim), dtype=complex) for j in range(4)}
-    for alpha, string in H.terms:
-        P = realize_string(string, H.n)
-        coo = sp.coo_matrix(P)
-        shape = coo.shape
-        vals = coo.data.astype(complex)
-        Sp, Sm = _positive_parts(sp.coo_matrix((vals.real, (coo.row, coo.col)), shape=shape))
-        Ap, Am = _positive_parts(sp.coo_matrix((vals.imag, (coo.row, coo.col)), shape=shape))
-        G = (
-            sp.kron(Sp, _F_POW[0], format="csr")
-            + sp.kron(Sm, _F_POW[2], format="csr")
-            + sp.kron(Ap, _F_POW[1], format="csr")
-            + sp.kron(Am, _F_POW[3], format="csr")
-        )
-        terms.append((float(alpha) / N, sp.csr_matrix(G)))
-        for j in range(4):
-            w = [1.0, 1j ** (2 * j % 4), 1j ** (j % 4), 1j ** (3 * j % 4)]
-            sector_ops[j] = sector_ops[j] + float(alpha) * (
-                w[0] * Sp + w[1] * Sm + w[2] * Ap + w[3] * Am
-            )
-    decomp = SectorDecomposition({j: sp.csr_matrix(sector_ops[j]) for j in range(4)})
+    phases = [(float(alpha), _string_phases(string, H.n)) for alpha, string in H.terms]
+    # Sector j sees the entry i^k as the phase i^(jk).
+    decomp = SectorDecomposition({
+        j: _sum_terms(1 << H.n, ((alpha, r, c, _PHASE[(j * k) % 4]) for alpha, (r, c, k) in phases))
+        for j in range(4)
+    })
     mapped = MappedHamiltonian(
-        n=H.n, ancilla_count=2, terms=tuple(terms), normalization=N, kind="stochastic-z4"
+        n=H.n,
+        ancilla_count=2,
+        terms=tuple((alpha / N, G) for alpha, G in _cycle_terms(H, 4)),
+        normalization=N,
+        kind="stochastic-z4",
     )
     return mapped, decomp
 
@@ -249,26 +242,7 @@ def add_penalty_complex(mapped: MappedHamiltonian, p: float) -> MappedHamiltonia
         raise ContractError("penalty applies to stochastize_complex output")
     if not (0.0 < p < 1.0 / 3.0):
         raise ContractError(f"p must lie in (0, 1/3), got {p}")
-    dim = mapped.dim
-    eye = sp.identity(dim, format="csr")
-    x_first = sp.kron(
-        sp.identity(dim // 4, format="csr"), sp.kron(_X2, _I2, format="csr"), format="csr"
-    )
-    terms = tuple((p * w, G) for w, G in mapped.terms)
-    terms = terms + (((1.0 - p) / 2.0, eye), ((1.0 - p) / 2.0, x_first))
-    return MappedHamiltonian(
-        n=mapped.n,
-        ancilla_count=2,
-        terms=terms,
-        normalization=mapped.normalization,
-        kind="stochastic-z4-penalty",
-        p=p,
-        warnings=mapped.warnings,
-    )
-
-
-def _min_eig_dense(A: sp.spmatrix) -> float:
-    return float(np.linalg.eigvalsh(A.toarray())[0])
+    return _with_penalty(mapped, p, "stochastic-z4-penalty", mapped.warnings)
 
 
 def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matrix]:
@@ -291,24 +265,18 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
             raise ContractError("terms act on different register sizes")
         if not H.terms:
             raise ContractError("empty term has no normalization")
-        if _min_eig_dense(build_matrix(H)) < -1e-9:
+        if _min_eigenvalue(build_matrix(H), DENSE_CAP) < -1e-9:
             raise ContractError("input term is not positive semidefinite")
     use_z4 = not all(H.has_real_entries() for H in terms)
     N = sum(H.N for H in terms)
     out = []
     for H in terms:
-        if use_z4:
-            mapped, _ = stochastize_complex(H)
-            x_pen = sp.kron(
-                sp.identity((1 << n), format="csr"), sp.kron(_X2, _I2, format="csr"), format="csr"
-            )
-        else:
-            mapped = stochastize(H)
-            x_pen = sp.kron(sp.identity(1 << n, format="csr"), _X2, format="csr")
-        eye = sp.identity(mapped.dim, format="csr")
         w = p * H.N / N
-        op = w * mapped.realize() + (1.0 - w) * 0.5 * (eye + x_pen)
-        out.append(sp.csr_matrix(op))
+        if use_z4:
+            mapped = add_penalty_complex(stochastize_complex(H)[0], w)
+        else:
+            mapped = add_ancilla_penalty(stochastize(H), w)
+        out.append(mapped.realize())
     return out
 
 

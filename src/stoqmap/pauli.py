@@ -17,8 +17,10 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ResourceError
 
-# Largest register build_matrix will realize; 2^14 keeps dense fallbacks sane.
+# Largest register any sparse realization will build; 2^14 keeps dense fallbacks sane.
 MAX_QUBITS = 14
+# Largest dimension handed to a dense solver (12 qubits).
+DENSE_CAP = 4096
 
 PAULI_LABELS = ("X", "Y", "Z")
 
@@ -28,6 +30,9 @@ _PAULI_DENSE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# i^k for k = 0..3: a Pauli string entry is always one of these.
+_PHASE = np.array([1, 1j, -1, -1j])
 
 
 def bit_of(index, qubit: int, n: int):
@@ -84,42 +89,60 @@ class PauliString:
         return ("+" if self.sign > 0 else "-") + body
 
 
+def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
+    """Sum of weighted sparse pieces as one dim x dim CSR matrix.
+
+    Each piece is (weight, rows, cols, vals). All pieces are concatenated
+    once; duplicate positions are summed and entries that cancel to zero
+    are dropped. The result is real unless some piece is complex.
+    """
+    if dim > 1 << MAX_QUBITS:
+        raise ResourceError(f"dimension {dim} exceeds the {MAX_QUBITS}-qubit realization cap")
+    pieces = list(pieces)
+    if not pieces:
+        return sp.csr_matrix((dim, dim))
+    rows = np.concatenate([r for _, r, _, _ in pieces])
+    cols = np.concatenate([c for _, _, c, _ in pieces])
+    vals = np.concatenate([w * v for w, _, _, v in pieces])
+    out = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    out.eliminate_zeros()
+    return out
+
+
+def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of a sparse matrix, ready to feed _sum_terms."""
+    A = sp.csr_matrix(A)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return rows, A.indices, A.data
+
+
+def _string_phases(string: PauliString, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, k): the string has entry i^k at (rows, cols), one per column."""
+    for q in string.qubits():
+        if q >= n:
+            raise ContractError(f"qubit {q} out of range for n={n}")
+    cols = np.arange(1 << n, dtype=np.int64)
+    flip = sum(1 << (n - 1 - q) for q, op in string.factors if op != "Z")
+    # each Z or Y factor contributes -1 on the columns where its qubit reads 1
+    z_ones = sum((bit_of(cols, q, n) for q, op in string.factors if op != "X"), np.zeros_like(cols))
+    k = (2 * z_ones + string.y_count() + 1 - string.sign) % 4
+    return cols ^ flip, cols, k
+
+
+def _string_entries(string: PauliString, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of a string; vals are real for an even number of Y factors."""
+    rows, cols, k = _string_phases(string, n)
+    vals = _PHASE[k]
+    return rows, cols, vals.real if string.has_real_entries() else vals
+
+
 def realize_string(string: PauliString, n: int) -> sp.csr_matrix:
     """Sparse matrix of sign * (tensor of factors) on n qubits.
 
     Entries are +-1 for an even number of Y factors and +-i otherwise;
     either way there is exactly one entry per row and column.
     """
-    for q in string.qubits():
-        if q >= n:
-            raise ContractError(f"qubit {q} out of range for n={n}")
-    dim = 1 << n
-    flip = 0
-    phase_mask = 0
-    ny = 0
-    for q, op in string.factors:
-        pos = n - 1 - q
-        if op in ("X", "Y"):
-            flip |= 1 << pos
-        if op in ("Z", "Y"):
-            phase_mask |= 1 << pos
-        if op == "Y":
-            ny += 1
-    cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ flip
-    parity = np.zeros(dim, dtype=bool)
-    mask = phase_mask
-    while mask:
-        low = mask & -mask
-        parity ^= (cols & low) != 0
-        mask ^= low
-    amp = np.where(parity, -1.0, 1.0)
-    unit = 1j ** (ny % 4)
-    if ny % 2 == 0:
-        vals = (string.sign * unit.real) * amp
-    else:
-        vals = (string.sign * unit) * amp.astype(complex)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return _sum_terms(1 << n, [(1.0, *_string_entries(string, n))])
 
 
 @dataclass(frozen=True)
@@ -209,11 +232,7 @@ def build_matrix(H: LocalHamiltonian, max_qubits: int = MAX_QUBITS) -> sp.csr_ma
     """Realize a LocalHamiltonian as a sparse 2^n x 2^n matrix."""
     if H.n > max_qubits:
         raise ResourceError(f"n={H.n} exceeds the {max_qubits}-qubit realization cap")
-    dim = 1 << H.n
-    acc = sp.csr_matrix((dim, dim))
-    for alpha, string in H.terms:
-        acc = acc + alpha * realize_string(string, H.n)
-    return sp.csr_matrix(acc)
+    return _sum_terms(1 << H.n, ((alpha, *_string_entries(s, H.n)) for alpha, s in H.terms))
 
 
 def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.csr_matrix:
@@ -222,6 +241,11 @@ def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.
     The local matrix has dimension 2^k with k = len(qubits); bit j of a
     local index addresses qubits[j].
     """
+    return _sum_terms(1 << n, [(1.0, *_embed_entries(local, qubits, n))])
+
+
+def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of embed(local, qubits, n)."""
     qubits = tuple(int(q) for q in qubits)
     k = len(qubits)
     if len(set(qubits)) != k:
@@ -251,8 +275,7 @@ def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.
     lcols = scatter_local(local.col.astype(np.int64))
     rows = (lrows[:, None] | rest_scatter[None, :]).ravel()
     cols = (lcols[:, None] | rest_scatter[None, :]).ravel()
-    vals = np.repeat(local.data, 1 << nrest)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(1 << n, 1 << n))
+    return rows, cols, np.repeat(local.data, 1 << nrest)
 
 
 def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> LocalHamiltonian:

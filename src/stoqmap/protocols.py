@@ -17,9 +17,7 @@ import scipy.sparse as sp
 from . import mapping
 from .classify import classify
 from .errors import ContractError, ResourceError
-from .pauli import LocalHamiltonian, build_matrix, pauli_decompose
-
-DENSE_CAP = 4096
+from .pauli import DENSE_CAP, LocalHamiltonian, _csr_entries, _sum_terms, build_matrix, pauli_decompose
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +66,7 @@ class SatInstance:
         )
 
     def total(self) -> sp.csr_matrix:
-        acc = self.operators[0].copy()
-        for op in self.operators[1:]:
-            acc = acc + op
-        return sp.csr_matrix(acc)
+        return _sum_terms(1 << self.n, ((1.0, *_csr_entries(op)) for op in self.operators))
 
     def check(self, tol: float = 1e-10) -> None:
         """Enforce the class invariants (psd everywhere, flags match kind)."""
@@ -98,13 +93,17 @@ def decide_sat(instance: SatInstance, tol: float = 1e-10, dense_cap: int = DENSE
     if total.shape[0] > dense_cap:
         raise ResourceError(f"dimension {total.shape[0]} exceeds the dense cap {dense_cap}")
     ground = float(np.linalg.eigvalsh(total.toarray())[0])
-    if ground <= tol:
-        verdict = "YES"
-    elif ground >= instance.epsilon - tol:
-        verdict = "NO"
-    else:
-        verdict = "AMBIGUOUS"
+    verdict = _verdict(ground, tol, instance.epsilon - tol)
     return SatDecision(verdict=verdict, ground_energy=ground, epsilon=instance.epsilon)
+
+
+def _verdict(value: float, yes_at_most: float, no_at_least: float) -> str:
+    """YES at or below the first threshold, NO at or above the second, else AMBIGUOUS."""
+    if value <= yes_at_most:
+        return "YES"
+    if value >= no_at_least:
+        return "NO"
+    return "AMBIGUOUS"
 
 
 def reduce_qsat(instance: SatInstance, p: float = 1.0 / 3.0) -> SatInstance:
@@ -132,20 +131,13 @@ def reduce_qsat(instance: SatInstance, p: float = 1.0 / 3.0) -> SatInstance:
         else:
             hams.append(pauli_decompose(op))
     n = instance.n
-    dim_out = 1 << (n + 2)
-    eye = sp.identity(dim_out, format="csr")
-    x_first = sp.kron(
-        sp.identity(1 << n, format="csr"),
-        sp.kron(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), sp.identity(2, format="csr")),
-        format="csr",
-    )
     out_ops = []
     norms = []
     for H in hams:
         mapped, _ = mapping.stochastize_complex(H)
         norms.append(mapped.normalization)
-        op = p * mapped.realize() + (1.0 - p) * 0.5 * (eye + x_first)
-        out_ops.append(sp.csr_matrix(op))
+        pieces = [(p * w, *_csr_entries(G)) for w, G in mapped.terms]
+        out_ops.append(_sum_terms(mapped.dim, pieces + mapping._penalty_pieces(n, n + 2, p)))
     N_max = max(norms)
     eps_tilde = p * instance.epsilon / (instance.m * N_max)
     return SatInstance(
@@ -183,12 +175,7 @@ class ExcitedEnergyProblem:
         return float(vals[self.c - 1])
 
     def decide(self) -> str:
-        lam = self.lambda_c()
-        if lam <= self.a:
-            return "YES"
-        if lam >= self.b:
-            return "NO"
-        return "AMBIGUOUS"
+        return _verdict(self.lambda_c(), self.a, self.b)
 
 
 def build_Hc(c: int, n: int) -> LocalHamiltonian:
@@ -278,13 +265,11 @@ def antisym_projector(d: int, c: int, dense_cap: int = DENSE_CAP) -> sp.csr_matr
     radix = d ** np.arange(c - 1, -1, -1)
     idx = np.arange(dim)
     digits = (idx[:, None] // radix[None, :]) % d
-    acc = sp.csr_matrix((dim, dim))
-    for perm in itertools.permutations(range(c)):
-        sign = _perm_sign(perm)
-        permuted = digits[:, list(perm)]
-        rows = permuted @ radix
-        acc = acc + sp.csr_matrix((np.full(dim, float(sign)), (rows, idx)), shape=(dim, dim))
-    return sp.csr_matrix(acc / math.factorial(c))
+    ones = np.ones(dim)
+    return _sum_terms(dim, (
+        (_perm_sign(perm) / math.factorial(c), digits[:, list(perm)] @ radix, idx, ones)
+        for perm in itertools.permutations(range(c))
+    ))
 
 
 def lemma1_value(phi: np.ndarray, alpha: np.ndarray) -> float:

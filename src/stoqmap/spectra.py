@@ -13,10 +13,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, classify
+from .classify import MatrixClassFlags, _as_csr, _classify, _min_eigenvalue, classify
 from .errors import ContractError, ConvergenceError, ResourceError
+from .pauli import DENSE_CAP
 
-DENSE_CAP = 4096
 # Eigenvalues closer than this are reported as one multiplet.
 DEGENERACY_TOL = 1e-8
 
@@ -54,13 +54,9 @@ class SpectralReport:
     method: str
 
 
-def _as_csr(M) -> sp.csr_matrix:
-    if sp.issparse(M):
-        return M.tocsr()
-    return sp.csr_matrix(np.asarray(M))
-
-
 def _is_hermitian(A: sp.csr_matrix, tol: float = 1e-12) -> bool:
+    if A.shape[0] != A.shape[1]:
+        return False
     D = A - A.getH()
     return D.nnz == 0 or float(np.max(np.abs(D.data))) <= tol
 
@@ -139,13 +135,24 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
     return Spectrum(vals, vecs, _residuals(A, vals, vecs), "iterative")
 
 
+def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
+                        compute_vectors: bool = True) -> tuple[MatrixClassFlags, Spectrum | None]:
+    """classify(A) and, under the dense cap, its full spectrum from one eigensolve."""
+    if A.shape[0] > dense_cap or A.shape[0] != A.shape[1]:
+        return classify(A, tol=tol, dense_cap=dense_cap), None
+    spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors)
+    # eig_dense's Hermitian branch already found the lowest eigenvalue the psd flag needs
+    solved_hermitian = _is_hermitian(A)
+    lowest = lambda A: float(spec.eigenvalues[0]) if solved_hermitian else _min_eigenvalue(A, dense_cap)
+    return _classify(A, tol, lowest), spec
+
+
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
     """Classify a matrix and assemble its extremal spectral data."""
     A = _as_csr(M)
     dim = A.shape[0]
-    flags = classify(A, tol=tol, dense_cap=dense_cap)
     if dim <= dense_cap:
-        spec = eig_dense(A, dense_cap=dense_cap)
+        flags, spec = _flags_and_spectrum(A, tol, dense_cap)
         vals = np.real_if_close(spec.eigenvalues, tol=1000)
         vals_r = np.asarray(vals.real if np.iscomplexobj(vals) else vals, dtype=float)
         ground = float(vals_r[0])
@@ -159,6 +166,7 @@ def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int
     else:
         lo = eig_extremal(A, k=2, which="lowest", tol=tol, seed=seed)
         hi = eig_extremal(A, k=2, which="highest", tol=tol, seed=seed)
+        flags = _classify(A, tol, lambda _: float(lo.eigenvalues[0]))
         ground = float(lo.eigenvalues[0])
         gap = float(lo.eigenvalues[1] - lo.eigenvalues[0])
         top = float(hi.eigenvalues[-1])

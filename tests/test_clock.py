@@ -4,6 +4,7 @@ import pytest
 from stoqmap import (
     ContractError,
     QuantumCircuit,
+    ResourceError,
     block_matrix,
     build_ff,
     build_stochastic_ff,
@@ -92,6 +93,9 @@ def test_ff_rejects_s_out_of_range():
         build_ff(identity_circuit(1, 1), 0.7)
     with pytest.raises(ContractError):
         build_ff(identity_circuit(1, 1), -0.1)
+    # n + L + 1 = 42 clock-register qubits: refused before anything is allocated
+    with pytest.raises(ResourceError, match="clock register"):
+        build_ff(QuantumCircuit(1, tuple(rot(0, 0.1) for _ in range(40))), 0.5)
 
 
 def test_every_term_is_a_projector():

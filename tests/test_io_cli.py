@@ -33,6 +33,7 @@ from stoqmap import (
     save_circuit,
     save_hamiltonian,
     save_sat_instance,
+    spectral_report,
     stochastize,
 )
 from stoqmap.io import GAP_SCAN_COLUMNS
@@ -132,6 +133,26 @@ def test_circuit_file_rejects_bad_gates_with_context():
         circuit_from_data({"version": "1", "n": 1, "gates": [{"name": "HADAMARD", "qubits": [0]}]})
     with pytest.raises(ContractError, match="bad angle"):
         circuit_from_data({"version": "1", "n": 1, "gates": [{"name": "ROT", "qubits": [0]}]})
+    with pytest.raises(ContractError, match=r"gates\[0\].*finite"):
+        circuit_from_data(
+            {"version": "1", "n": 1, "gates": [{"name": "ROT", "qubits": [0], "angle": float("nan")}]}
+        )
+    with pytest.raises(ContractError, match=r"gates\[0\].*differ in length"):
+        circuit_from_data(
+            {"version": "1", "n": 1,
+             "gates": [{"name": "CUSTOM", "qubits": [0], "matrix": [[[1, 0], [0, 0]], [[1, 0]]]}]}
+        )
+    with pytest.raises(ContractError, match=r"gates\[0\].*non-finite"):
+        circuit_from_data(
+            {"version": "1", "n": 1,
+             "gates": [{"name": "CUSTOM", "qubits": [0],
+                        "matrix": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+        )
+    with pytest.raises(ContractError, match=r"operators\[0\].*differ in length"):
+        sat_instance_from_data(
+            {"version": "1", "n": 1, "epsilon": 0.1,
+             "operators": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]}
+        )
 
 
 def test_sat_round_trip_pauli_form():
@@ -317,6 +338,33 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert run_command(["ham", "check", str(bad)]) == 2
+    capsys.readouterr()
+    deep = tmp_path / "deep.json"
+    save_circuit(QuantumCircuit(1, tuple(rot(0, 0.1) for _ in range(40))), str(deep))
+    assert run_command(["clock", "build", str(deep)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_each_command_diagonalizes_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    H = random_instance(3, seed=5)
+    spectral_report(build_matrix(H))
+    assert len(calls) == 1, calls
+    calls.clear()
+    path = tmp_path / "h.json"
+    save_hamiltonian(H, str(path))
+    argv = ["map", "stochastic", str(path), "--p", "0.25", "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 0
+    assert len(calls) == 1, calls
 
 
 def test_cli_reports_are_reproducible(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,13 +9,24 @@ from stoqmap import (
     ContractError,
     LocalHamiltonian,
     PauliString,
+    QuantumCircuit,
     ResourceError,
+    SatInstance,
+    add_ancilla_penalty,
+    add_penalty_complex,
+    antisym_projector,
+    build_ff,
     build_matrix,
+    cnot,
     embed,
     pauli_decompose,
     random_instance,
     realize_string,
     remap_qubits,
+    rot,
+    stochastize,
+    stochastize_complex,
+    stoquastize,
 )
 
 I2 = np.eye(2)
@@ -150,3 +164,54 @@ def test_resource_cap_on_build():
     H = random_instance(3, seed=0)
     with pytest.raises(ResourceError):
         build_matrix(H, max_qubits=2)
+
+
+# ------------------------------------------------- term-sum kernel callers
+
+def _antisym_parts(d, c):
+    """(sign / c!, permutation matrix) per permutation, built with numpy alone."""
+    dim = d**c
+    grid = np.eye(dim).reshape((d,) * c + (dim,))
+    parts = []
+    for perm in itertools.permutations(range(c)):
+        sign = round(np.linalg.det(np.eye(c)[list(perm)]))
+        parts.append((sign / math.factorial(c), grid.transpose(list(perm) + [c]).reshape(dim, dim)))
+    return parts
+
+
+def _kernel_case(name):
+    """(kernel result, [(weight, part)]) for one caller of the term-sum kernel."""
+    H = random_instance(3, seed=11)
+    Hy = random_instance(2, seed=11, include_y=True)
+    mapped = {
+        "stoquastic": lambda: stoquastize(H),
+        "stochastic": lambda: stochastize(H),
+        "stochastic-penalty": lambda: add_ancilla_penalty(stochastize(H), 0.25),
+        "stochastic-z4": lambda: stochastize_complex(Hy)[0],
+        "stochastic-z4-penalty": lambda: add_penalty_complex(stochastize_complex(Hy)[0], 0.2),
+    }
+    if name in mapped:
+        m = mapped[name]()
+        assert m.kind == name
+        return m.realize(), m.terms
+    if name == "ff":
+        ff = build_ff(QuantumCircuit(2, (rot(0, 0.3), cnot(0, 1), rot(1, -0.7))), 0.3)
+        return ff.realize(), [(1.0, ff.realize_term(i)) for i in range(len(ff.terms))]
+    if name == "sat":
+        projectors = [LocalHamiltonian.from_signed(2, [(0.5, {}), (0.5 * s, {q: "Z"})])
+                      for s, q in ((1, 0), (-1, 1), (1, 1))]
+        inst = SatInstance.from_paulis(projectors, epsilon=0.1)
+        return inst.total(), [(1.0, op) for op in inst.operators]
+    return antisym_projector(3, 3), _antisym_parts(3, 3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["stoquastic", "stochastic", "stochastic-penalty", "stochastic-z4", "stochastic-z4-penalty",
+     "ff", "sat", "antisym"],
+)
+def test_kernel_callers_match_dense_sum_of_parts(name):
+    got, parts = _kernel_case(name)
+    want = sum(w * (G.toarray() if sp.issparse(G) else G) for w, G in parts)
+    assert sp.isspmatrix_csr(got)
+    assert np.max(np.abs(got.toarray() - want)) <= 1e-12
