@@ -14,8 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .clock import QuantumCircuit, build_ff
-from .errors import ContractError, ResourceError
+from .classify import _eigh
+from .clock import QuantumCircuit, build_ff, clock_state_index
+from .errors import ContractError
 from .pauli import DENSE_CAP
 from .spectra import DEGENERACY_TOL
 
@@ -46,12 +47,14 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     """The clock path H^FF(s(u)) with s(u) = u/2.
 
     Every H^FF(s) preserves the span of the legal clock configurations,
-    so that span is tracked as the protected sector.
+    so that span is tracked as the protected sector. Its projector B B^dagger
+    (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
+    columns of B at one clock time are a unitary image of the work basis.
     """
-    from .clock import legal_basis
-
-    B = legal_basis(build_ff(circuit, 0.25))
-    projector = sp.csr_matrix(B @ B.conj().T)
+    ff = build_ff(circuit, 0.25)
+    clocks = [clock_state_index(t, ff.L) for t in range(ff.L + 1)]
+    legal = (np.arange(1 << ff.n)[:, None] * (1 << (ff.L + 1)) + clocks).ravel()
+    projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(ff.dim, ff.dim))
     return HamiltonianPath(
         generator=lambda u: build_ff(circuit, u / 2.0).realize(),
         sector_projector=projector,
@@ -92,15 +95,6 @@ class AdiabaticTrace:
     steps: int
 
 
-def _check_sample(H: sp.spmatrix, dense_cap: int) -> np.ndarray:
-    if H.shape[0] > dense_cap:
-        raise ResourceError(f"dimension {H.shape[0]} exceeds the dense cap {dense_cap}")
-    dense = H.toarray()
-    if np.max(np.abs(dense - dense.conj().T)) > 1e-9 * max(1.0, float(np.max(np.abs(dense)))):
-        raise ContractError("sampled Hamiltonian is not Hermitian")
-    return dense
-
-
 def evolve(
     path: HamiltonianPath,
     T: float,
@@ -123,11 +117,9 @@ def evolve(
     dt = T / steps
     want_overlap = target is not None
 
-    def overlap_at(u: float, state: np.ndarray, dense: np.ndarray | None) -> float:
+    def overlap_at(u: float, state: np.ndarray) -> float:
         if isinstance(target, str) and target == "ground":
-            if dense is None:
-                dense = _check_sample(sp.csr_matrix(path.generator(u)), dense_cap)
-            vals, vecs = np.linalg.eigh(dense)
+            vals, vecs = _eigh(path.generator(u), dense_cap)
             ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
             return float(np.linalg.norm(ground.conj().T @ state) ** 2)
         vec = target(u) if callable(target) else np.asarray(target)
@@ -140,21 +132,19 @@ def evolve(
     overlaps = np.zeros(samples) if want_overlap else None
     pops = np.zeros(samples) if path.sector_projector is not None else None
 
-    def record(k: int, u: float, dense: np.ndarray | None):
+    def record(k: int, u: float):
         norms[k] = np.linalg.norm(psi)
         if overlaps is not None:
-            overlaps[k] = overlap_at(u, psi, dense)
+            overlaps[k] = overlap_at(u, psi)
         if pops is not None:
             pops[k] = float(np.real(np.vdot(psi, path.sector_projector @ psi)))
 
-    record(0, 0.0, None)
+    record(0, 0.0)
     for k in range(steps):
-        u_mid = (k + 0.5) / steps
-        dense = _check_sample(sp.csr_matrix(path.generator(u_mid)), dense_cap)
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = _eigh(path.generator((k + 0.5) / steps), dense_cap)
         phases = np.exp(-1j * vals * dt)
         psi = vecs @ (phases * (vecs.conj().T @ psi))
-        record(k + 1, (k + 1.0) / steps, None)
+        record(k + 1, (k + 1.0) / steps)
     return AdiabaticTrace(
         times=times,
         u_values=u_values,

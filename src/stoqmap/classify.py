@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP
+from .pauli import DENSE_CAP, HERMITIAN_TOL, _is_hermitian
 
 DEFAULT_TOL = 1e-10
 
@@ -58,10 +58,26 @@ def _max_abs(A: sp.spmatrix) -> float:
     return float(np.max(np.abs(A.data))) if A.nnz else 0.0
 
 
-def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int) -> float:
+def _eigh(M, dense_cap: int, vectors: bool = True, tol: float = HERMITIAN_TOL):
+    """The one dense Hermitian eigensolve: eigh(M), or eigvalsh(M) without vectors.
+
+    The dimension is checked against dense_cap before anything dense is
+    allocated, and a non-Hermitian M (see pauli._is_hermitian, loosened
+    by tol) is refused rather than read from one triangle.
+    """
+    dim = M.shape[0]
+    if dim > dense_cap:
+        raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
+    dense = M.toarray() if sp.issparse(M) else np.asarray(M)
+    if not _is_hermitian(dense, tol):
+        raise ContractError("matrix is not Hermitian")
+    return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
+
+
+def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int, tol: float = HERMITIAN_TOL) -> float:
     dim = A.shape[0]
     if dim <= dense_cap:
-        return float(np.linalg.eigvalsh(A.toarray())[0])
+        return float(_eigh(A, dense_cap, vectors=False, tol=tol)[0])
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
         vals = spla.eigsh(A, k=1, which="SA", v0=v0, return_eigenvectors=False)
@@ -72,7 +88,7 @@ def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int) -> float:
 
 def classify(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> MatrixClassFlags:
     """Evaluate all structural flags for a square matrix."""
-    return _classify(_as_csr(M), tol, lambda A: _min_eigenvalue(A, dense_cap))
+    return _classify(_as_csr(M), tol, lambda A: _min_eigenvalue(A, dense_cap, tol))
 
 
 def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
@@ -141,12 +157,7 @@ def kernel_projector_complement(M, tol: float = DEFAULT_TOL, dense_cap: int = DE
     dim = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ContractError("expected a square matrix")
-    if dim > dense_cap:
-        raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
-    if _max_abs(A - A.getH()) > max(tol, 1e-10):
-        raise ContractError("matrix is not Hermitian")
-    dense = A.toarray()
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = _eigh(A, dense_cap, tol=tol)
     if vals[0] < -max(tol, 1e-8):
         raise ContractError(f"matrix is not psd (lowest eigenvalue {vals[0]:.3e})")
     kernel = vecs[:, vals <= tol]

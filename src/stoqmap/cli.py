@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as fmt
 from .adiabatic import ff_schedule_path, evolve, measure_and_decode, sector_leakage
-from .classify import classify
+from .classify import _max_abs, classify
 from .clock import (
     block_matrix,
     build_ff,
@@ -143,7 +143,7 @@ def _cmd_ham(args, argv) -> int:
 def _sector_residual(mapped, H_matrix, sector: str, scale: float) -> float:
     got = mapped.sector_operator(sector)
     want = H_matrix.multiply(scale)
-    return float(abs((got - want).toarray()).max())
+    return _max_abs(got - want)
 
 
 def _cmd_map(args, argv) -> int:
@@ -309,7 +309,7 @@ def _cmd_adiabatic(args, argv) -> int:
 def _cmd_protocol(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
     problem = ExcitedEnergyProblem(H=H, c=args.c, a=args.a, b=args.b)
-    lam = problem.lambda_c()
+    lam = problem.lambda_c(args.dense_cap)
     verdict = _verdict(lam, problem.a, problem.b)
     results = {
         "n": H.n,

@@ -15,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
+from .classify import _eigh
 from .errors import ContractError, ResourceError
 from .pauli import (
-    MAX_QUBITS, LocalHamiltonian, _embed_entries, _sum_terms, embed, pauli_decompose, remap_qubits,
+    DENSE_CAP, MAX_QUBITS, LocalHamiltonian, _embed_entries, _sum_terms, embed, pauli_decompose, remap_qubits,
 )
 
 GATE_NAMES = ("CNOT", "ROT", "ID", "CUSTOM")
@@ -294,7 +295,7 @@ class BlockMatrix:
     entries: np.ndarray
 
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        return _eigh(self.entries, DENSE_CAP, vectors=False)
 
 
 def block_matrix(hamming_weight: int, s: float, L: int) -> BlockMatrix:

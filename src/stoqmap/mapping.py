@@ -25,6 +25,7 @@ from .pauli import (
     _sum_terms,
     build_matrix,
 )
+from .spectra import eig_dense
 
 # F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j; _cycle_terms places F^k by index arithmetic.
 _F = sp.csr_matrix((np.ones(4), ((np.arange(4) - 1) % 4, np.arange(4))), shape=(4, 4))
@@ -282,11 +283,7 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
 
 def sector_spectrum(mapped: MappedHamiltonian, sector: str) -> np.ndarray:
     """Eigenvalues of the realized matrix inside one ancilla sector, ascending."""
-    op = mapped.sector_operator(sector).toarray()
-    if np.max(np.abs(op - op.conj().T)) <= 1e-10:
-        return np.linalg.eigvalsh(op)
-    vals = np.linalg.eigvals(op)
-    return np.sort_complex(vals)
+    return eig_dense(mapped.sector_operator(sector), compute_vectors=False).eigenvalues
 
 
 def sector_projector(n_work: int, ancilla_state: np.ndarray) -> sp.csr_matrix:

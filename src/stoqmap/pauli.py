@@ -21,6 +21,8 @@ from .errors import ContractError, ResourceError
 MAX_QUBITS = 14
 # Largest dimension handed to a dense solver (12 qubits).
 DENSE_CAP = 4096
+# Largest entry of A - A^dagger, relative to max(1, max|A|), that still counts as Hermitian.
+HERMITIAN_TOL = 1e-10
 
 PAULI_LABELS = ("X", "Y", "Z")
 
@@ -33,6 +35,17 @@ _PAULI_DENSE = {
 
 # i^k for k = 0..3: a Pauli string entry is always one of these.
 _PHASE = np.array([1, 1j, -1, -1j])
+
+
+def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
+    """The package's one Hermiticity test, for a dense or sparse A.
+
+    A caller's own tolerance may loosen the rule, never tighten it
+    below HERMITIAN_TOL.
+    """
+    if A.shape[0] != A.shape[1]:
+        return False
+    return abs(A - A.conj().T).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
 
 
 def bit_of(index, qubit: int, n: int):
@@ -291,7 +304,7 @@ def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> Loc
     k = int(round(np.log2(dim)))
     if 1 << k != dim:
         raise ContractError(f"dimension {dim} is not a power of two")
-    if np.max(np.abs(dense - dense.conj().T)) > 1e-9 * max(1.0, np.max(np.abs(dense))):
+    if not _is_hermitian(dense):
         raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
     items = []
     for word in itertools.product("IXYZ", repeat=k):

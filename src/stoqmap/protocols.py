@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import classify
+from .classify import _eigh, classify
 from .errors import ContractError, ResourceError
 from .pauli import DENSE_CAP, LocalHamiltonian, _csr_entries, _sum_terms, build_matrix, pauli_decompose
 
@@ -89,10 +89,7 @@ class SatDecision:
 
 def decide_sat(instance: SatInstance, tol: float = 1e-10, dense_cap: int = DENSE_CAP) -> SatDecision:
     """YES if the operator sum has a zero-energy state, NO if >= epsilon."""
-    total = instance.total()
-    if total.shape[0] > dense_cap:
-        raise ResourceError(f"dimension {total.shape[0]} exceeds the dense cap {dense_cap}")
-    ground = float(np.linalg.eigvalsh(total.toarray())[0])
+    ground = float(_eigh(instance.total(), dense_cap, vectors=False)[0])
     verdict = _verdict(ground, tol, instance.epsilon - tol)
     return SatDecision(verdict=verdict, ground_energy=ground, epsilon=instance.epsilon)
 
@@ -168,8 +165,8 @@ class ExcitedEnergyProblem:
     def epsilon(self) -> float:
         return self.b - self.a
 
-    def lambda_c(self) -> float:
-        vals = np.linalg.eigvalsh(build_matrix(self.H).toarray())
+    def lambda_c(self, dense_cap: int = DENSE_CAP) -> float:
+        vals = _eigh(build_matrix(self.H), dense_cap, vectors=False)
         if self.c > vals.size:
             raise ContractError(f"c={self.c} exceeds the spectrum size {vals.size}")
         return float(vals[self.c - 1])
@@ -316,20 +313,16 @@ def acceptance_operator(
         raise ContractError("c must be at least 1")
     if isinstance(H, LocalHamiltonian):
         H = build_matrix(H)
-    dense = H.toarray() if sp.issparse(H) else np.asarray(H)
-    d = dense.shape[0]
+    d = np.shape(H)[0]
     dim = d**c
     if dim > dense_cap:
         raise ResourceError(f"need dimension {dim}, above the dense cap {dense_cap}")
-    if np.max(np.abs(dense - dense.conj().T)) > 1e-10:
-        raise ContractError("H must be Hermitian")
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = _eigh(H, dense_cap)
     low = vecs[:, vals <= threshold]
     E = low @ low.conj().T
     P = antisym_projector(d, c, dense_cap=dense_cap).toarray()
     E_ext = np.kron(E, np.eye(d ** (c - 1)))
-    A = P @ E_ext @ P
-    avals, avecs = np.linalg.eigh(A)
+    avals, avecs = _eigh(P @ E_ext @ P, dense_cap)
     prob = float(min(max(avals[-1], 0.0), 1.0))
     witness = avecs[:, -1]
     bound = 1.0 - 1.0 / c

@@ -13,9 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _min_eigenvalue, classify
+from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _min_eigenvalue, classify
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP
+from .pauli import DENSE_CAP, _is_hermitian
 
 # Eigenvalues closer than this are reported as one multiplet.
 DEGENERACY_TOL = 1e-8
@@ -54,13 +54,6 @@ class SpectralReport:
     method: str
 
 
-def _is_hermitian(A: sp.csr_matrix, tol: float = 1e-12) -> bool:
-    if A.shape[0] != A.shape[1]:
-        return False
-    D = A - A.getH()
-    return D.nnz == 0 or float(np.max(np.abs(D.data))) <= tol
-
-
 def _residuals(A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     R = A @ vecs - vecs * vals[np.newaxis, :]
     return np.linalg.norm(R, axis=0)
@@ -75,12 +68,10 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
             f"dimension {dim} exceeds the dense cap {dense_cap}; use eig_extremal"
         )
     dense = A.toarray()
-    if _is_hermitian(A):
-        if compute_vectors:
-            vals, vecs = np.linalg.eigh(dense)
-        else:
-            vals, vecs = np.linalg.eigvalsh(dense), None
-    else:
+    try:
+        out = _eigh(dense, dense_cap, vectors=compute_vectors)
+        vals, vecs = out if compute_vectors else (out, None)
+    except ContractError:  # not Hermitian: the general solver
         vals, vecs = np.linalg.eig(dense)
         order = np.lexsort((vals.imag, vals.real))
         vals = vals[order]
@@ -103,11 +94,10 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
     modes = {"lowest": "SA", "highest": "LA", "largest_magnitude": "LM"}
     if which not in modes:
         raise ContractError(f"unknown mode {which!r}; expected one of {sorted(modes)}")
-    if not _is_hermitian(A, tol=1e-10):
+    if not _is_hermitian(A):
         raise ContractError("eig_extremal expects a Hermitian matrix")
     if k >= dim - 1:
-        full = eig_dense(A, dense_cap=max(DENSE_CAP, dim))
-        vals, vecs = full.eigenvalues, full.eigenvectors
+        vals, vecs = _eigh(A, DENSE_CAP)
         if which == "lowest":
             idx = np.arange(min(k, dim))
         elif which == "highest":
@@ -143,7 +133,7 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
     spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors)
     # eig_dense's Hermitian branch already found the lowest eigenvalue the psd flag needs
     solved_hermitian = _is_hermitian(A)
-    lowest = lambda A: float(spec.eigenvalues[0]) if solved_hermitian else _min_eigenvalue(A, dense_cap)
+    lowest = lambda A: float(spec.eigenvalues[0]) if solved_hermitian else _min_eigenvalue(A, dense_cap, tol)
     return _classify(A, tol, lowest), spec
 
 

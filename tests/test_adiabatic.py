@@ -7,6 +7,8 @@ from stoqmap import (
     HamiltonianPath,
     LocalHamiltonian,
     QuantumCircuit,
+    ResourceError,
+    build_ff,
     build_matrix,
     clock_state_index,
     cnot,
@@ -15,6 +17,7 @@ from stoqmap import (
     ff_schedule_path,
     history_state,
     identity_gate,
+    legal_basis,
     linear_interpolation_path,
     measure_and_decode,
     output_distribution,
@@ -65,6 +68,15 @@ def test_evolve_rejects_bad_inputs():
         evolve(path, 1.0, 0, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def test_evolve_checks_every_sample_before_diagonalizing():
+    circuit = QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2)))  # 16-dimensional samples
+    with pytest.raises(ResourceError, match="dense cap 8"):
+        evolve(ff_schedule_path(circuit), 1.0, 4, ff_initial(circuit), target=None, dense_cap=8)
+    skew = HamiltonianPath(lambda u: sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(ContractError, match="Hermitian"):
+        evolve(skew, 1.0, 1, np.array([1.0, 0.0]), target=None)
+
+
 def test_norm_drift_stays_tiny():
     circuit = identity_circuit(1, 2)
     trace = evolve(
@@ -72,6 +84,20 @@ def test_norm_drift_stays_tiny():
         initial=ff_initial(circuit), target=None,
     )
     assert np.max(np.abs(trace.norms - 1.0)) <= 1e-8
+
+
+def test_legal_projector_matches_legal_basis_span():
+    phase = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    circuits = [
+        QuantumCircuit(1, (rot(0, 0.7),)),
+        QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9))),
+        QuantumCircuit(1, (custom((0,), phase), rot(0, 0.3), identity_gate())),
+        QuantumCircuit(2, (custom((1,), phase), identity_gate(), cnot(1, 0), rot(0, 0.2))),
+    ]
+    for circuit in circuits:
+        B = legal_basis(build_ff(circuit, 0.25))
+        P = ff_schedule_path(circuit).sector_projector.toarray()
+        assert np.max(np.abs(P - B @ B.conj().T)) <= 1e-12
 
 
 def test_ff_path_reaches_history_state():

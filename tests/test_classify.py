@@ -104,6 +104,15 @@ def test_kernel_complement_rejects_non_hermitian():
         kernel_projector_complement(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
+def test_loose_tol_loosens_the_hermitian_check_of_the_eigensolve():
+    M = np.array([[1.0, 1e-8], [0.0, 2.0]])
+    flags = classify(M, tol=1e-6)
+    assert flags.hermitian and flags.psd
+    assert not classify(M).hermitian
+    P = kernel_projector_complement(np.array([[0.0, 1e-8], [0.0, 2.0]]), tol=1e-6).toarray()
+    assert np.allclose(P, np.diag([0.0, 1.0]), atol=1e-7)
+
+
 def test_dense_cap_enforced():
     M = sp.identity(16, format="csr")
     with pytest.raises(ResourceError):

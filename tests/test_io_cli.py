@@ -347,6 +347,18 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    save_hamiltonian(random_instance(4, seed=1), str(h))
+    c = tmp_path / "c.json"
+    save_circuit(QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2))), str(c))
+    out = ["--dense-cap", "8", "--out", str(tmp_path / "r.json")]
+    assert run_command(["protocol", "excited", str(h), "--c", "2", "--a", "0", "--b", "1"] + out) == 2
+    assert "dense cap 8" in capsys.readouterr().err
+    assert run_command(["adiabatic", "run", str(c), "--steps", "4"] + out) == 2
+    assert "dense cap 8" in capsys.readouterr().err
+
+
 def test_each_command_diagonalizes_once(tmp_path, monkeypatch):
     calls = []
 

@@ -6,6 +6,7 @@ from stoqmap import (
     ContractError,
     ExcitedEnergyProblem,
     LocalHamiltonian,
+    ResourceError,
     SatInstance,
     acceptance_operator,
     antisym_projector,
@@ -237,6 +238,18 @@ def test_acceptance_soundness_and_completeness_seeded():
 def test_acceptance_rejects_non_hermitian():
     with pytest.raises(ContractError, match="Hermitian"):
         acceptance_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), c=1, threshold=0.0)
+
+
+def test_dense_solves_refuse_inputs_above_the_cap():
+    H = build_Hc(2, 4)  # 16-dimensional
+    with pytest.raises(ResourceError):
+        acceptance_operator(H, c=1, threshold=0.0, dense_cap=8)
+    with pytest.raises(ResourceError):
+        acceptance_operator(build_Hc(1, 2), c=2, threshold=0.0, dense_cap=8)
+    with pytest.raises(ResourceError):
+        ExcitedEnergyProblem(H=H, c=2, a=0.0, b=1.0).lambda_c(dense_cap=8)
+    with pytest.raises(ResourceError):
+        decide_sat(SatInstance.from_paulis([H], epsilon=1.0), dense_cap=8)
 
 
 # ------------------------------------------------- excited-energy decisions

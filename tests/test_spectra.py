@@ -43,6 +43,12 @@ def test_eig_dense_cap():
         eig_dense(sp.identity(8, format="csr"), dense_cap=4)
 
 
+def test_sector_spectrum_checks_the_cap_before_densifying():
+    H = LocalHamiltonian.from_signed(13, [(1.0, {0: "Z"})])  # 8192-dimensional sector
+    with pytest.raises(ResourceError):
+        sector_spectrum(stoquastize(H), "-")
+
+
 def test_eig_extremal_identity():
     out = eig_extremal(sp.identity(8, format="csr"), k=1, which="lowest")
     assert abs(out.eigenvalues[0] - 1.0) < 1e-10
