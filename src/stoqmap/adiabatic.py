@@ -15,9 +15,9 @@ import scipy.sparse as sp
 
 from . import mapping
 from .classify import _eigh
-from .clock import QuantumCircuit, build_ff, clock_state_index
+from .clock import ClockTerm, QuantumCircuit, _propagation_pieces, build_ff, clock_state_index
 from .errors import ContractError
-from .pauli import DENSE_CAP
+from .pauli import DENSE_CAP, _csr_entries
 from .spectra import DEGENERACY_TOL
 
 
@@ -46,6 +46,10 @@ def linear_interpolation_path(Ha, Hb) -> HamiltonianPath:
 def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     """The clock path H^FF(s(u)) with s(u) = u/2.
 
+    H^FF(s) = K + s A + (1-s) B - sqrt(s(1-s)) C: K sums the pin, clock and
+    init terms, A, B, C the propagation terms' lo, hi and hop pieces. The
+    four are built once on one CSR pattern; each sample is one axpy.
+
     Every H^FF(s) preserves the span of the legal clock configurations,
     so that span is tracked as the protected sector. Its projector B B^dagger
     (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
@@ -55,11 +59,30 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     clocks = [clock_state_index(t, ff.L) for t in range(ff.L + 1)]
     legal = (np.arange(1 << ff.n)[:, None] * (1 << (ff.L + 1)) + clocks).ravel()
     projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(ff.dim, ff.dim))
-    return HamiltonianPath(
-        generator=lambda u: build_ff(circuit, u / 2.0).realize(),
-        sector_projector=projector,
-        sector_label="legal",
-    )
+    props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
+    parts = [ff._sum(t for t in ff.terms if not t.label.startswith("prop_"))]
+    parts += [ff._sum(ClockTerm("prop", p[0], p[i]) for p in props) for i in (1, 2, 3)]
+    pattern = sum(abs(M) for M in parts)
+    pattern.sort_indices()
+    rows, cols, _ = _csr_entries(pattern)
+    slots = rows * ff.dim + cols  # increasing, since the pattern's indices are sorted
+
+    def aligned(M) -> np.ndarray:
+        rows, cols, vals = _csr_entries(M)
+        values = np.zeros(pattern.nnz, dtype=M.dtype)
+        values[np.searchsorted(slots, rows * ff.dim + cols)] = vals
+        return values
+
+    k, a, b, c = (aligned(M) for M in parts)
+
+    def generator(u: float) -> sp.csr_matrix:
+        if not (0.0 <= u <= 1.0):
+            raise ContractError(f"schedule parameter u must lie in [0, 1], got {u}")
+        s = u / 2.0
+        data = k + s * a + (1.0 - s) * b - float(np.sqrt(s * (1.0 - s))) * c
+        return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
+
+    return HamiltonianPath(generator=generator, sector_projector=projector, sector_label="legal")
 
 
 def stoquastic_interpolation_path(Ha, Hb) -> HamiltonianPath:

@@ -265,10 +265,8 @@ def _cmd_adiabatic(args, argv) -> int:
     if args.padded:
         circuit = circuit.padded()
     path = ff_schedule_path(circuit)
-    ff = build_ff(circuit, 0.0)
-    dim = 1 << ff.total_qubits
-    initial = np.zeros(dim)
-    initial[clock_state_index(0, ff.L)] = 1.0
+    initial = np.zeros(path.sector_projector.shape[0])
+    initial[clock_state_index(0, circuit.L)] = 1.0
     target = history_state(circuit, 0.5)
     trace = evolve(path, T=args.T, steps=args.steps, initial=initial, target=target,
                    dense_cap=args.dense_cap)
@@ -278,13 +276,13 @@ def _cmd_adiabatic(args, argv) -> int:
     tv = 0.0
     support = set(measurement.decoded_distribution_exact) | set(measurement.decoded_counts)
     denom = max(measurement.clock_success_count, 1)
-    for key in support:
+    for key in sorted(support):
         emp = measurement.decoded_counts.get(key, 0) / denom
         tv += abs(emp - measurement.decoded_distribution_exact.get(key, 0.0))
     tv *= 0.5
     results = {
         "n": circuit.n,
-        "L": ff.L,
+        "L": circuit.L,
         "T": args.T,
         "steps": args.steps,
         "shots": args.shots,

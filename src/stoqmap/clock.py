@@ -10,6 +10,7 @@ the gate propagation projectors, all 5-local or smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,10 @@ class Gate:
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise ContractError(f"unknown gate {self.name!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        qubits = tuple(self.qubits)
+        if not all(isinstance(q, Integral) and not isinstance(q, bool) and q >= 0 for q in qubits):
+            raise ContractError(f"gate qubits must be nonnegative integers, got {list(qubits)!r}")
+        object.__setattr__(self, "qubits", tuple(int(q) for q in qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise ContractError("gate qubits must be distinct")
         if self.name == "CNOT":
@@ -180,14 +184,6 @@ class FFHamiltonian:
     def dim(self) -> int:
         return 1 << self.total_qubits
 
-    @property
-    def b(self) -> float:
-        return float(np.sqrt(self.s * (1.0 - self.s)))
-
-    @property
-    def r(self) -> float:
-        return float(np.sqrt(self.s / (1.0 - self.s)))
-
     def clock_qubit(self, j: int) -> int:
         """Global index of clock qubit c(j), j = 1..L+1."""
         if not (1 <= j <= self.L + 1):
@@ -218,6 +214,31 @@ def _ket_projector(dim: int, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _propagation_pieces(circuit: QuantumCircuit) -> list[tuple]:
+    """Each gate's propagation term split into (qubits, lo, hi, hop).
+
+    On gate j's clock window, lo = 1 (x) |t_(j-1)><t_(j-1)|, hi = 1 (x) |t_j><t_j| and
+    hop = U_j (x) |t_j><t_(j-1)| + h.c.; the term of H^FF(s) is s lo + (1-s) hi - sqrt(s(1-s)) hop.
+    """
+    n, L = circuit.n, circuit.L
+    c = lambda j: n + j - 1
+    out = []
+    for j, gate in enumerate(circuit.gates, start=1):
+        U = gate.unitary()
+        Ig = np.eye(U.shape[0])
+        if j < L:
+            # clock window (c(j), c(j+1), c(j+2)); time j-1 reads 100, time j reads 110
+            lo, hi, cdim = 0b100, 0b110, 8
+            cq = (c(j), c(j + 1), c(j + 2))
+        else:
+            lo, hi, cdim = 0b10, 0b11, 4
+            cq = (c(L), c(L + 1))
+        hop = np.kron(U, _ket_projector(cdim, hi, lo))
+        out.append((gate.qubits + cq, np.kron(Ig, _ket_projector(cdim, lo, lo)),
+                    np.kron(Ig, _ket_projector(cdim, hi, hi)), hop + hop.conj().T))
+    return out
+
+
 def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
     """Assemble the frustration-free Hamiltonian H^FF(s) for a circuit."""
     if not (0.0 <= s <= 0.5):
@@ -240,25 +261,8 @@ def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
         local = np.zeros((8, 8))
         local[0b110, 0b110] = 1.0
         terms.append(ClockTerm(f"init_{j}", (j - 1, c(1), c(2)), local))
-    for j in range(1, L + 1):
-        gate = circuit.gates[j - 1]
-        U = gate.unitary()
-        g_dim = U.shape[0]
-        Ig = np.eye(g_dim)
-        if j < L:
-            # clock window (c(j), c(j+1), c(j+2)); time j-1 reads 100, time j reads 110
-            lo, hi, cdim = 0b100, 0b110, 8
-            cq = (c(j), c(j + 1), c(j + 2))
-        else:
-            lo, hi, cdim = 0b10, 0b11, 4
-            cq = (c(L), c(L + 1))
-        local = (
-            s * np.kron(Ig, _ket_projector(cdim, lo, lo))
-            + (1.0 - s) * np.kron(Ig, _ket_projector(cdim, hi, hi))
-            - b * np.kron(U, _ket_projector(cdim, hi, lo))
-            - b * np.kron(U.conj().T, _ket_projector(cdim, lo, hi))
-        )
-        terms.append(ClockTerm(f"prop_{j}", gate.qubits + cq, local))
+    for j, (qubits, lo, hi, hop) in enumerate(_propagation_pieces(circuit), start=1):
+        terms.append(ClockTerm(f"prop_{j}", qubits, s * lo + (1.0 - s) * hi - b * hop))
     return FFHamiltonian(circuit=circuit, s=float(s), terms=tuple(terms))
 
 

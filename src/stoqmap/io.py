@@ -143,18 +143,19 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
         _require(isinstance(gd, dict), ctx, "expected an object")
         name = gd.get("name")
         _require(name in ("CNOT", "ROT", "ID", "CUSTOM"), ctx, f"bad gate name {name!r}")
-        qubits = tuple(gd.get("qubits", []))
+        qubits = gd.get("qubits", [])
+        _require(isinstance(qubits, list), ctx, f"qubits must be a list, got {qubits!r}")
         angle = gd.get("angle")
         matrix = gd.get("matrix")
+        kwargs: dict[str, Any] = {}
+        if name == "CUSTOM":
+            _require(matrix is not None, ctx, "CUSTOM needs a matrix")
+            kwargs["matrix"] = json_to_matrix(matrix, ctx)
+        elif name == "ROT":
+            _require(isinstance(angle, (int, float)), ctx, f"bad angle {angle!r}")
+            kwargs["angle"] = float(angle)
         try:
-            if name == "CUSTOM":
-                _require(matrix is not None, ctx, "CUSTOM needs a matrix")
-                gates.append(Gate(name, qubits, matrix=json_to_matrix(matrix, ctx)))
-            elif name == "ROT":
-                _require(isinstance(angle, (int, float)), ctx, f"bad angle {angle!r}")
-                gates.append(Gate(name, qubits, angle=float(angle)))
-            else:
-                gates.append(Gate(name, qubits))
+            gates.append(Gate(name, tuple(qubits), **kwargs))
         except ContractError as exc:
             raise ContractError(f"{ctx}: {exc}") from exc
     return QuantumCircuit(n, tuple(gates))

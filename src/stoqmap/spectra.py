@@ -60,7 +60,7 @@ def _residuals(A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
 
 
 def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Spectrum:
-    """Full spectrum by direct diagonalization (dim capped)."""
+    """Full spectrum by dense diagonalization (dim capped); method "dense_general" if M is not Hermitian."""
     A = _as_csr(M)
     dim = A.shape[0]
     if dim > dense_cap:
@@ -71,6 +71,7 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
     try:
         out = _eigh(dense, dense_cap, vectors=compute_vectors)
         vals, vecs = out if compute_vectors else (out, None)
+        method = "dense"
     except ContractError:  # not Hermitian: the general solver
         vals, vecs = np.linalg.eig(dense)
         order = np.lexsort((vals.imag, vals.real))
@@ -80,8 +81,9 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
             vals = vals.real
         if not compute_vectors:
             vecs = None
+        method = "dense_general"
     res = _residuals(A, vals, vecs) if vecs is not None else None
-    return Spectrum(vals, vecs, res, "dense")
+    return Spectrum(vals, vecs, res, method)
 
 
 def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0,
@@ -132,7 +134,7 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
         return classify(A, tol=tol, dense_cap=dense_cap), None
     spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors)
     # eig_dense's Hermitian branch already found the lowest eigenvalue the psd flag needs
-    solved_hermitian = _is_hermitian(A)
+    solved_hermitian = spec.method == "dense"
     lowest = lambda A: float(spec.eigenvalues[0]) if solved_hermitian else _min_eigenvalue(A, dense_cap, tol)
     return _classify(A, tol, lowest), spec
 

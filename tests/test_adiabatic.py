@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from stoqmap import (
@@ -8,6 +9,7 @@ from stoqmap import (
     LocalHamiltonian,
     QuantumCircuit,
     ResourceError,
+    block_matrix,
     build_ff,
     build_matrix,
     clock_state_index,
@@ -98,6 +100,57 @@ def test_legal_projector_matches_legal_basis_span():
         B = legal_basis(build_ff(circuit, 0.25))
         P = ff_schedule_path(circuit).sector_projector.toarray()
         assert np.max(np.abs(P - B @ B.conj().T)) <= 1e-12
+
+
+def test_ff_path_matches_build_ff_at_every_sample():
+    phase = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    base = QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9)))
+    circuits = [
+        base,
+        QuantumCircuit(2, (custom((1,), phase), identity_gate(), cnot(1, 0), rot(0, 0.2))),
+        base.padded(),
+    ]
+    for circuit in circuits:
+        path = ff_schedule_path(circuit)
+        for u in (0.0, 0.25, 0.5, 0.75, 1.0):
+            got = path.generator(u).toarray()
+            want = build_ff(circuit, u / 2.0).realize().toarray()
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-14
+            path.generator(u).eliminate_zeros()  # in place; must not reach later samples
+    with pytest.raises(ContractError, match="u must lie"):
+        ff_schedule_path(base).generator(1.5)
+
+
+def test_ff_path_evolution_matches_weight_zero_block():
+    """Full-space evolve equals propagating the x = 0 block M_0(s) with the same midpoint steps.
+
+    From |0...0> (x) |c_0> the state stays in span{psi_j (x) |c_j>}, where
+    H^FF(s) acts as block_matrix(0, s, L); mapping the block state back
+    through the circuit's statevectors gives an oracle built without build_ff.
+    """
+    phase = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    circuits = [
+        QuantumCircuit(1, (rot(0, 0.7),)),
+        QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1))),
+        QuantumCircuit(2, (custom((1,), phase), identity_gate(), cnot(1, 0))),
+        QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9), custom((0,), phase))),
+    ]
+    T, steps = 6.0, 24
+    for circuit in circuits:
+        L = circuit.L
+        final = evolve(ff_schedule_path(circuit), T, steps, ff_initial(circuit), target=None).final_state
+        phi = np.zeros(L + 1, dtype=complex)
+        phi[0] = 1.0
+        for k in range(steps):
+            M = block_matrix(0, (k + 0.5) / steps / 2.0, L).entries
+            phi = scipy.linalg.expm(-1j * (T / steps) * M) @ phi
+        assert np.max(np.abs(phi)) < 0.99  # the state has spread along the clock
+        want = np.zeros(final.size, dtype=complex)
+        cdim = 1 << (L + 1)
+        for j, psi in enumerate(circuit.statevectors()):
+            want[clock_state_index(j, L)::cdim] += phi[j] * psi
+        assert np.max(np.abs(final - want)) <= 1e-10
 
 
 def test_ff_path_reaches_history_state():

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import stoqmap
 from stoqmap import (
     ContractError,
     ExcitedEnergyProblem,
@@ -118,6 +123,11 @@ def test_circuit_round_trip_all_gate_kinds():
     assert circuit_to_data(back) == data
 
 
+# Gate qubits that are not a list of nonnegative integers; each was once read
+# as some qubit ("01" as (0, 1), 1.7 as 1) or failed far from the file.
+BAD_GATE_QUBITS = [("ROT", ["a"]), ("ROT", [1.7]), ("ROT", [-1]), ("ROT", [True]), ("CNOT", "01")]
+
+
 def test_circuit_file_rejects_bad_gates_with_context():
     with pytest.raises(ContractError, match=r"gates\[0\].*unitary"):
         circuit_from_data(
@@ -148,6 +158,16 @@ def test_circuit_file_rejects_bad_gates_with_context():
              "gates": [{"name": "CUSTOM", "qubits": [0],
                         "matrix": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}]}
         )
+    for name, qubits in BAD_GATE_QUBITS:
+        with pytest.raises(ContractError, match=r"gates\[0\]: .*qubits"):
+            circuit_from_data({"version": "1", "n": 2, "gates": [{"name": name, "qubits": qubits, "angle": 0.1}]})
+    with pytest.raises(ContractError, match=r"gate 0 touches qubit 2, but n=2"):
+        circuit_from_data({"version": "1", "n": 2, "gates": [{"name": "ROT", "qubits": [2], "angle": 0.1}]})
+    with pytest.raises(ContractError, match=r"gates\[0\]: complex values are") as info:
+        circuit_from_data(
+            {"version": "1", "n": 1, "gates": [{"name": "CUSTOM", "qubits": [0], "matrix": [[1, 0], [0, 1]]}]}
+        )
+    assert str(info.value).count("gates[0]") == 1
     with pytest.raises(ContractError, match=r"operators\[0\].*differ in length"):
         sat_instance_from_data(
             {"version": "1", "n": 1, "epsilon": 0.1,
@@ -345,6 +365,12 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
     save_circuit(QuantumCircuit(1, tuple(rot(0, 0.1) for _ in range(40))), str(deep))
     assert run_command(["clock", "build", str(deep)]) == 2
     assert "error:" in capsys.readouterr().err
+    bad_gate = tmp_path / "gate.json"
+    for name, qubits in BAD_GATE_QUBITS:
+        gate = {"name": name, "qubits": qubits, "angle": 0.1}
+        bad_gate.write_text(json.dumps({"version": "1", "n": 2, "gates": [gate]}), encoding="utf-8")
+        assert run_command(["clock", "build", str(bad_gate)]) == 2
+        assert "gates[0]: " in capsys.readouterr().err
 
 
 def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):
@@ -402,6 +428,23 @@ def test_cli_reports_are_reproducible(tmp_path):
     first = out.read_bytes()
     assert run_command(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_adiabatic_report_is_identical_across_hash_seeds(tmp_path):
+    # Hash seeds 0 and 1 order the four decoded outcomes differently, which once
+    # moved the last digit of decoded_total_variation (a sum over a set of strings).
+    save_circuit(QuantumCircuit(2, (rot(0, 0.9), cnot(0, 1), rot(1, 0.4))), str(tmp_path / "c.json"))
+    script = "import sys; from stoqmap.cli import run_command; sys.exit(run_command(sys.argv[1:]))"
+    argv = ["adiabatic", "run", "c.json", "--T", "8", "--steps", "16", "--shots", "100", "--seed", "5",
+            "--out", "r.json"]
+    src = str(Path(stoqmap.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, check=True, timeout=120)
+        reports.append((tmp_path / "r.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_is_thin_wrapper_over_library(tmp_path):

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from stoqmap import (
+    DENSE_CAP,
     ContractError,
     LocalHamiltonian,
     ResourceError,
@@ -17,6 +20,7 @@ from stoqmap import (
     stochastize_complex,
     stoquastize,
 )
+from stoqmap.spectra import _flags_and_spectrum
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -41,6 +45,24 @@ def test_eig_dense_stoquastized_minus_z():
 def test_eig_dense_cap():
     with pytest.raises(ResourceError):
         eig_dense(sp.identity(8, format="csr"), dense_cap=4)
+
+
+def test_eig_dense_reports_its_branch_and_hermiticity_is_tested_once(monkeypatch):
+    assert eig_dense(np.diag([1.0, 2.0])).method == "dense"
+    assert eig_dense(np.array([[0.0, 1.0], [0.0, 0.0]])).method == "dense_general"
+    calls = []
+    modules = [importlib.import_module(f"stoqmap.{name}") for name in ("classify", "spectra")]
+    real = modules[0]._is_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_is_hermitian", counted)
+    flags, spec = _flags_and_spectrum(build_matrix(random_instance(3, seed=2)), 1e-10, DENSE_CAP)
+    assert flags.hermitian and spec.method == "dense"
+    assert len(calls) == 1
 
 
 def test_sector_spectrum_checks_the_cap_before_densifying():
