@@ -10,6 +10,7 @@ that are neither YES nor NO), 2 for usage or runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,6 +40,7 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache  # built once per process: parsing never changes the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stoqmap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +125,7 @@ def _cmd_ham(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
     M = build_matrix(H)
     if args.action == "check":
-        flags = fmt.flags_to_data(classify(M, tol=args.tol, dense_cap=args.dense_cap))
+        flags = classify(M, tol=args.tol, dense_cap=args.dense_cap).as_dict()
         results = {
             "n": H.n,
             "num_terms": H.num_terms,
@@ -165,7 +167,7 @@ def _cmd_map(args, argv) -> int:
         sector = "v1"
     realized = mapped.realize()
     flags, spec = _flags_and_spectrum(realized, args.tol, args.dense_cap, compute_vectors=False)
-    flags = fmt.flags_to_data(flags)
+    flags = flags.as_dict()
     checks = [_check("hermitian", flags["hermitian"])]
     if args.action == "stoquastic":
         checks.append(_check("stoquastic", flags["stoquastic"]))
@@ -251,12 +253,7 @@ def _cmd_clock_scan(args, argv) -> int:
                     "full_gap_measured": repr(full_measured),
                 }
             )
-    text = fmt.gap_scan_csv(rows)
-    if args.out is None:
-        print(text, end="")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    fmt.write_text(fmt.gap_scan_csv(rows), args.out)
     return 0
 
 

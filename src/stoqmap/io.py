@@ -10,15 +10,16 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
+from itertools import chain
 from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import MatrixClassFlags
 from .clock import Gate, QuantumCircuit
 from .errors import ContractError
-from .pauli import LocalHamiltonian, PauliString
+from .pauli import LocalHamiltonian, build_matrix
 from .protocols import SatInstance
 from .spectra import SpectralReport
 
@@ -36,31 +37,26 @@ def _check_version(data: dict, where: str):
     _require(version == FORMAT_VERSION, where, f"unsupported version {version!r}")
 
 
-def complex_to_json(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def json_to_complex(pair, where: str) -> complex:
-    _require(
-        isinstance(pair, (list, tuple)) and len(pair) == 2, where, "complex values are [re, im]"
-    )
-    return complex(float(pair[0]), float(pair[1]))
+class _DenseMatrix(list):
+    """Rows of [re, im] float pairs: a plain list to readers, rendered in bulk by report_to_json."""
 
 
 def matrix_to_json(M) -> list:
     dense = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in dense]
+    return _DenseMatrix(np.stack((dense.real, dense.imag), axis=-1).tolist())
 
 
 def json_to_matrix(rows, where: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
              where, "matrix must be a nonempty list of nonempty rows")
     _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
-    out = np.array([[json_to_complex(z, where) for z in row] for row in rows])
-    _require(bool(np.all(np.isfinite(out))), where, "matrix has non-finite entries")
-    if np.max(np.abs(out.imag)) == 0.0:
-        out = out.real
-    return out
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a non-numeric or huge entry, uneven pairs
+        pairs = np.empty(0)
+    _require(pairs.ndim == 3 and pairs.shape[2] == 2, where, "complex values are [re, im] pairs of numbers")
+    _require(bool(np.all(np.isfinite(pairs))), where, "matrix has non-finite or null entries")
+    return pairs.view(complex)[..., 0] if pairs[..., 1].any() else pairs[..., 0]
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -112,9 +108,7 @@ def load_hamiltonian(path: str) -> LocalHamiltonian:
 
 
 def save_hamiltonian(H: LocalHamiltonian, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hamiltonian_to_data(H), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(hamiltonian_to_data(H), path)
 
 
 # -------------------------------------------------------------------- circuit
@@ -167,9 +161,7 @@ def load_circuit(path: str) -> QuantumCircuit:
 
 
 def save_circuit(circuit: QuantumCircuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_data(circuit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(circuit_to_data(circuit), path)
 
 
 # --------------------------------------------------------------- sat instance
@@ -222,8 +214,6 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
             paulis.append(None)
         else:
             raise ContractError(f"{ctx}: need either terms or matrix")
-    from .pauli import build_matrix  # local import to keep module load light
-
     realized = tuple(
         matrices[i] if matrices[i] is not None else build_matrix(paulis[i])
         for i in range(len(ops_data))
@@ -244,16 +234,10 @@ def load_sat_instance(path: str) -> SatInstance:
 
 
 def save_sat_instance(instance: SatInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sat_instance_to_data(instance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(sat_instance_to_data(instance), path)
 
 
 # -------------------------------------------------------------------- reports
-
-def flags_to_data(flags: MatrixClassFlags) -> dict:
-    return flags.as_dict()
-
 
 def spectral_report_to_data(report: SpectralReport) -> dict:
     return {
@@ -263,7 +247,7 @@ def spectral_report_to_data(report: SpectralReport) -> dict:
         "second_largest_magnitude": report.second_largest_magnitude,
         "perron_top_is_one": report.perron_top_is_one,
         "perron_uniform_overlap": report.perron_uniform_overlap,
-        "flags": flags_to_data(report.flags),
+        "flags": report.flags.as_dict(),
         "eigenvalues": None if report.eigenvalues is None else [float(v) for v in report.eigenvalues],
         "method": report.method,
     }
@@ -280,12 +264,60 @@ def make_report(command: list[str], seed: int, tol: float, results: dict, checks
     }
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def report_to_json(report) -> str:
+    """The one JSON writer: json.dumps(report, indent=2, sort_keys=True) + "\\n" for reports and files.
+
+    Each dense matrix is rendered from its rows at the indentation json would give it and spliced into
+    json.dumps of the rest, in place of a tag that no string in the report contains."""
+    tag = "@matrix"
+    while True:
+        matrices: list[_DenseMatrix] = []
+        text = json.dumps(_with_tags(report, tag, matrices), indent=2, sort_keys=True)
+        if text.count(tag) == len(matrices):
+            break
+        tag = "@" + tag
+    parts = re.split(f'"{tag}(\\d+)"', text)
+    for j in range(1, len(parts), 2):
+        line = parts[j - 1][parts[j - 1].rfind("\n") + 1:]
+        parts[j] = _render_matrix(matrices[int(parts[j])], len(line) - len(line.lstrip(" ")))
+    return "".join(parts) + "\n"
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _with_tags(obj, tag: str, matrices: list):
+    """obj with each _DenseMatrix replaced by tag + its index in matrices; lists of scalars are not copied."""
+    if isinstance(obj, _DenseMatrix):
+        matrices.append(obj)
+        return f"{tag}{len(matrices) - 1}"
+    if isinstance(obj, dict):
+        return {k: _with_tags(v, tag, matrices) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)) and not _SCALARS.issuperset(map(type, obj)):
+        return [_with_tags(v, tag, matrices) for v in obj]
+    return obj
+
+
+def _render_matrix(rows: _DenseMatrix, indent: int) -> str:
+    """json.dumps(rows, indent=2) for a value whose line is indented by indent spaces."""
+    i0, i1, i2, i3 = (" " * (indent + step) for step in (0, 2, 4, 6))
+    row_seps = [f",\n{i3}", f"\n{i2}],\n{i2}[\n{i3}"] * len(rows[0])  # after each re, after each im
+    row_seps[-1] = f"\n{i2}]\n{i1}],\n{i1}[\n{i2}[\n{i3}"
+    seps = row_seps * len(rows)
+    seps[-1] = f"\n{i2}]\n{i1}]\n{i0}]"
+    floats = map(float.__repr__, chain.from_iterable(chain.from_iterable(rows)))
+    body = "".join(chain.from_iterable(zip(floats, seps)))
+    if "n" in body:  # json writes nan, inf and -inf as NaN, Infinity, -Infinity; no finite repr has an n
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n{i1}[\n{i2}[\n{i3}" + body
 
 
 def write_report(report: dict, path: str | None) -> None:
-    text = report_to_json(report)
+    write_text(report_to_json(report), path)
+
+
+def write_text(text: str, path: str | None) -> None:
+    """text to the file at path, or to stdout when path is None."""
     if path is None:
         print(text, end="")
     else:

@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import stoqmap
 from stoqmap import (
@@ -28,8 +31,10 @@ from stoqmap import (
     hamiltonian_from_data,
     hamiltonian_to_data,
     identity_gate,
+    load_sat_instance,
     make_report,
     random_instance,
+    reduce_qsat,
     report_to_json,
     rot,
     run_command,
@@ -41,7 +46,7 @@ from stoqmap import (
     spectral_report,
     stochastize,
 )
-from stoqmap.io import GAP_SCAN_COLUMNS
+from stoqmap.io import GAP_SCAN_COLUMNS, json_to_matrix, matrix_to_json
 
 
 def ham(n, items):
@@ -126,6 +131,13 @@ def test_circuit_round_trip_all_gate_kinds():
 # Gate qubits that are not a list of nonnegative integers; each was once read
 # as some qubit ("01" as (0, 1), 1.7 as 1) or failed far from the file.
 BAD_GATE_QUBITS = [("ROT", ["a"]), ("ROT", [1.7]), ("ROT", [-1]), ("ROT", [True]), ("CNOT", "01")]
+# Matrix entries that are not [re, im] pairs of finite numbers; the first two
+# once ended in a ValueError or TypeError traceback.
+BAD_MATRIX_ENTRIES = [["a", 0], [None, 0], [1, 0, 0], "1+0j", {"re": 1, "im": 0}, [10**400, 0]]
+
+
+def bad_matrix(entry):
+    return [[entry, [0, 0]], [[0, 0], [1, 0]]]
 
 
 def test_circuit_file_rejects_bad_gates_with_context():
@@ -173,6 +185,15 @@ def test_circuit_file_rejects_bad_gates_with_context():
             {"version": "1", "n": 1, "epsilon": 0.1,
              "operators": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]}
         )
+    for entry in BAD_MATRIX_ENTRIES:
+        with pytest.raises(ContractError, match=r"^circuit.gates\[0\]: (complex values|matrix has non-finite)"):
+            circuit_from_data(
+                {"version": "1", "n": 1, "gates": [{"name": "CUSTOM", "qubits": [0], "matrix": bad_matrix(entry)}]}
+            )
+        with pytest.raises(ContractError, match=r"^sat instance.operators\[0\]: (complex values|matrix has non-finite)"):
+            sat_instance_from_data(
+                {"version": "1", "n": 1, "epsilon": 0.1, "operators": [{"matrix": bad_matrix(entry)}]}
+            )
 
 
 def test_sat_round_trip_pauli_form():
@@ -204,6 +225,121 @@ def test_sat_round_trip_matrix_form():
                 "operators": [{"matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}],
             }
         )
+
+
+def list_form(M) -> list:
+    """A matrix as [re, im] lists built entry by entry: the writer's reference."""
+    dense = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
+    return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in dense]
+
+
+def oracle_json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# Values whose text is easy to get wrong, mixed into every generated float.
+EDGE_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1e16, 2.0, 1.0, -3.0, 0.1, 1.7976931348623157e308,
+               float("nan"), float("inf"), float("-inf")]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+finite_floats = st.one_of(st.sampled_from([x for x in EDGE_FLOATS if np.isfinite(x)]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+complex_matrices = arrays(complex, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+                          elements=st.builds(complex, floats, floats))
+# Strings that look like the tags the writer splices matrices into.
+texts = st.one_of(st.text(max_size=6), st.sampled_from(["@matrix", "@matrix0", '"@matrix1"', "@@matrix0", ""]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), floats, texts)
+json_values = st.recursive(
+    st.one_of(scalars, complex_matrices.map(matrix_to_json)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@seed(20090528)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.dictionaries(texts, json_values, max_size=6))
+def test_writer_matches_json_dumps_on_generated_reports(report):
+    assert report_to_json(report) == oracle_json(report)
+
+
+@seed(20090528)
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    arrays(complex, (1 << n, 1 << n), elements=st.builds(complex, floats, floats)), min_size=1, max_size=3)),
+    st.sampled_from(["quantum", "stoquastic", "stochastic"]), floats, st.one_of(st.none(), floats))
+def test_writer_matches_list_form_on_generated_sat_instances(ops, kind, epsilon, n_max):
+    epsilon = abs(epsilon) if np.isfinite(epsilon) and epsilon != 0 else 0.5
+    n = ops[0].shape[0].bit_length() - 1
+    inst = SatInstance(n=n, operators=tuple(ops), epsilon=epsilon, kind=kind, N_max=n_max)
+    data = sat_instance_to_data(inst)
+    text = report_to_json(data)
+    for od, op in zip(data["operators"], inst.operators):
+        od["matrix"] = list_form(op)
+    assert text == oracle_json(data)
+    if all(np.all(np.isfinite(op.data)) for op in inst.operators):
+        back = sat_instance_from_data(json.loads(text))
+        assert all(np.array_equal(a.toarray(), b.toarray()) for a, b in zip(inst.operators, back.operators))
+
+
+@seed(20090528)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 3), floats, st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
+                          st.sampled_from([0.0, -0.0, 1e-300, 5e-324])), min_size=1, max_size=4))
+def test_writer_matches_list_form_on_generated_circuits(specs):
+    gates = []
+    for kind, angle, signs, tiny in specs:
+        if kind == 0:
+            gates.append(rot(0, angle if np.isfinite(angle) else 0.5))
+        elif kind == 1:
+            gates.append(cnot(0, 1))
+        else:  # a signed permutation or phase, with signed or tiny off-diagonal entries
+            phase = np.exp(1j * ((angle if np.isfinite(angle) else 0.0) % (2 * np.pi)))
+            M = np.array([[signs[0], tiny * signs[1]], [tiny * signs[2], signs[3] * phase]])
+            gates.append(custom([kind - 2], M if kind == 2 else M[::-1]))
+    circuit = QuantumCircuit(2, tuple(gates))
+    data = circuit_to_data(circuit)
+    text = report_to_json(data)
+    for gd, g in zip(data["gates"], circuit.gates):
+        if g.matrix is not None:
+            gd["matrix"] = list_form(g.matrix)
+    assert text == oracle_json(data)
+    assert circuit_to_data(circuit_from_data(json.loads(text))) == data
+
+
+@seed(20090528)
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+              elements=finite_floats),
+       arrays(float, (5, 5), elements=st.sampled_from([0.0, -0.0, 1e-300, 2.0])), st.booleans(), st.booleans())
+def test_matrix_loader_matches_entrywise_reference(re, im, real_only, ints):
+    im = np.zeros_like(re) if real_only else im[: re.shape[0], : re.shape[1]]
+    rows = np.stack((re, im), axis=-1).tolist()
+    if ints:  # JSON integers, as a hand-written file has them
+        rows = [[[int(x) if x.is_integer() and abs(x) < 2**53 else x for x in pair] for pair in row] for row in rows]
+    want = np.array([[complex(float(a), float(b)) for a, b in row] for row in rows])
+    if np.max(np.abs(want.imag)) == 0.0:
+        want = want.real
+    got = json_to_matrix(json.loads(json.dumps(rows)), "m")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_sat_reduce_writes_the_oracle_bytes(tmp_path):
+    path = tmp_path / "sat.json"
+    psi = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2)
+    inst = SatInstance(n=1, operators=(np.outer(psi, psi.conj()), np.diag([-0.0, 1.0])), epsilon=0.5, kind="quantum")
+    save_sat_instance(inst, str(path))
+    want = sat_instance_to_data(inst)
+    for od, op in zip(want["operators"], inst.operators):
+        od["matrix"] = list_form(op)
+    assert path.read_text(encoding="utf-8") == oracle_json(want)
+    out = tmp_path / "reduced.json"
+    assert run_command(["sat", "reduce", str(path), "--out", str(out)]) == 0
+    reduced = reduce_qsat(load_sat_instance(str(path)))
+    want = sat_instance_to_data(reduced)
+    for od, op in zip(want["operators"], reduced.operators):
+        od["matrix"] = list_form(op)
+    assert out.read_bytes() == oracle_json(want).encode("utf-8")
 
 
 def test_report_serialization_is_deterministic():
@@ -371,6 +507,15 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
         bad_gate.write_text(json.dumps({"version": "1", "n": 2, "gates": [gate]}), encoding="utf-8")
         assert run_command(["clock", "build", str(bad_gate)]) == 2
         assert "gates[0]: " in capsys.readouterr().err
+    for entry in BAD_MATRIX_ENTRIES:
+        gate = {"name": "CUSTOM", "qubits": [0], "matrix": bad_matrix(entry)}
+        bad_gate.write_text(json.dumps({"version": "1", "n": 1, "gates": [gate]}), encoding="utf-8")
+        assert run_command(["clock", "build", str(bad_gate)]) == 2
+        assert "gates[0]: " in capsys.readouterr().err
+        sat = {"version": "1", "n": 1, "epsilon": 0.1, "operators": [{"matrix": bad_matrix(entry)}]}
+        bad_gate.write_text(json.dumps(sat), encoding="utf-8")
+        assert run_command(["sat", "decide", str(bad_gate)]) == 2
+        assert "operators[0]: " in capsys.readouterr().err
 
 
 def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
-and every dense eigensolve goes through one function."""
+every dense eigensolve goes through one function, and so does every JSON write."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,8 @@ SOLVER_HOMES = {
     "eig": "spectra.eig_dense",
     "eigvals": "spectra.eig_dense",
 }
+# json.dump and json.dumps may be named only inside the one writer.
+WRITER_HOMES = {"dump": "io.report_to_json", "dumps": "io.report_to_json"}
 
 
 def _defined_names(tree):
@@ -45,23 +47,31 @@ def test_caps_and_helpers_defined_once():
     assert not stray_4096, stray_4096
 
 
-def _solver_uses(node, owner, out):
-    """(enclosing module.function, solver) for every attribute or import naming a solver."""
+def _uses(node, owner, names, out):
+    """(enclosing module.function, name) for every attribute or import naming one of names."""
     for child in ast.iter_child_nodes(node):
         inner = owner
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{owner.split('.')[0]}.{child.name}"
-        elif isinstance(child, ast.Attribute) and child.attr in SOLVER_HOMES:
+        elif isinstance(child, ast.Attribute) and child.attr in names:
             out.append((owner, child.attr))
         elif isinstance(child, ast.ImportFrom):
-            out += [(owner, a.name) for a in child.names if a.name in SOLVER_HOMES]
-        _solver_uses(child, inner, out)
+            out += [(owner, a.name) for a in child.names if a.name in names]
+        _uses(child, inner, names, out)
+
+
+def _check_homes(homes):
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        _uses(ast.parse(path.read_text(encoding="utf-8")), path.stem, homes, uses)
+    stray = [(owner, name) for owner, name in uses if owner != homes[name]]
+    assert not stray, stray
+    assert {owner for owner, _ in uses} == set(homes.values())
 
 
 def test_dense_eigensolvers_called_only_inside_their_gate():
-    uses = []
-    for path in sorted(SRC.glob("*.py")):
-        _solver_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem, uses)
-    stray = [(owner, name) for owner, name in uses if owner != SOLVER_HOMES[name]]
-    assert not stray, stray
-    assert {owner for owner, _ in uses} == set(SOLVER_HOMES.values())
+    _check_homes(SOLVER_HOMES)
+
+
+def test_json_written_only_by_the_one_writer():
+    _check_homes(WRITER_HOMES)

@@ -63,6 +63,9 @@ def test_eig_dense_reports_its_branch_and_hermiticity_is_tested_once(monkeypatch
     flags, spec = _flags_and_spectrum(build_matrix(random_instance(3, seed=2)), 1e-10, DENSE_CAP)
     assert flags.hermitian and spec.method == "dense"
     assert len(calls) == 1
+    calls.clear()
+    assert eig_extremal(build_matrix(random_instance(3, seed=2)), k=7).method == "dense"  # k >= dim - 1
+    assert len(calls) == 1
 
 
 def test_sector_spectrum_checks_the_cap_before_densifying():
