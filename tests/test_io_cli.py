@@ -237,6 +237,15 @@ def oracle_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def sat_oracle(inst) -> str:
+    """oracle_json of the instance's data, every matrix in the entry-by-entry list form."""
+    data = sat_instance_to_data(inst)
+    for od, op in zip(data["operators"], inst.operators):
+        if "matrix" in od:
+            od["matrix"] = list_form(op)
+    return oracle_json(data)
+
+
 # Values whose text is easy to get wrong, mixed into every generated float.
 EDGE_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1e16, 2.0, 1.0, -3.0, 0.1, 1.7976931348623157e308,
                float("nan"), float("inf"), float("-inf")]
@@ -271,11 +280,8 @@ def test_writer_matches_list_form_on_generated_sat_instances(ops, kind, epsilon,
     epsilon = abs(epsilon) if np.isfinite(epsilon) and epsilon != 0 else 0.5
     n = ops[0].shape[0].bit_length() - 1
     inst = SatInstance(n=n, operators=tuple(ops), epsilon=epsilon, kind=kind, N_max=n_max)
-    data = sat_instance_to_data(inst)
-    text = report_to_json(data)
-    for od, op in zip(data["operators"], inst.operators):
-        od["matrix"] = list_form(op)
-    assert text == oracle_json(data)
+    text = report_to_json(sat_instance_to_data(inst))
+    assert text == sat_oracle(inst)
     if all(np.all(np.isfinite(op.data)) for op in inst.operators):
         back = sat_instance_from_data(json.loads(text))
         assert all(np.array_equal(a.toarray(), b.toarray()) for a, b in zip(inst.operators, back.operators))
@@ -329,17 +335,12 @@ def test_sat_reduce_writes_the_oracle_bytes(tmp_path):
     psi = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2)
     inst = SatInstance(n=1, operators=(np.outer(psi, psi.conj()), np.diag([-0.0, 1.0])), epsilon=0.5, kind="quantum")
     save_sat_instance(inst, str(path))
-    want = sat_instance_to_data(inst)
-    for od, op in zip(want["operators"], inst.operators):
-        od["matrix"] = list_form(op)
-    assert path.read_text(encoding="utf-8") == oracle_json(want)
+    assert path.read_text(encoding="utf-8") == sat_oracle(inst)
     out = tmp_path / "reduced.json"
     assert run_command(["sat", "reduce", str(path), "--out", str(out)]) == 0
     reduced = reduce_qsat(load_sat_instance(str(path)))
-    want = sat_instance_to_data(reduced)
-    for od, op in zip(want["operators"], reduced.operators):
-        od["matrix"] = list_form(op)
-    assert out.read_bytes() == oracle_json(want).encode("utf-8")
+    assert "matrix" in sat_instance_to_data(reduced)["operators"][0]
+    assert out.read_bytes() == sat_oracle(reduced).encode("utf-8")
 
 
 def test_report_serialization_is_deterministic():
