@@ -142,15 +142,13 @@ def _cmd_ham(args, argv) -> int:
     return 0
 
 
-def _sector_residual(mapped, H_matrix, sector: str, scale: float) -> float:
-    got = mapped.sector_operator(sector)
-    want = H_matrix.multiply(scale)
-    return _max_abs(got - want)
+def _sector_residual(mapped, realized, H, sector: str, scale: float) -> float:
+    V = mapped.sector_isometry(sector)
+    return _max_abs(V.getH() @ realized @ V - build_matrix(H).multiply(scale))
 
 
 def _cmd_map(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
-    M = build_matrix(H)
     p = getattr(args, "p", None)
     if args.action == "stoquastic":
         mapped = stoquastize(H)
@@ -171,13 +169,13 @@ def _cmd_map(args, argv) -> int:
     checks = [_check("hermitian", flags["hermitian"])]
     if args.action == "stoquastic":
         checks.append(_check("stoquastic", flags["stoquastic"]))
-        residual = _sector_residual(mapped, M, sector, 1.0)
+        residual = _sector_residual(mapped, realized, H, sector, 1.0)
         checks.append(_check("sector_preserves_input", residual <= args.tol, residual))
     else:
         checks.append(_check("nonnegative_entries", flags["nonnegative_entries"]))
         checks.append(_check("doubly_stochastic", flags["doubly_stochastic"]))
         if not p:
-            residual = _sector_residual(mapped, M, sector, 1.0 / mapped.normalization)
+            residual = _sector_residual(mapped, realized, H, sector, 1.0 / mapped.normalization)
             checks.append(_check("sector_preserves_input", residual <= args.tol, residual))
     results = {
         "n": mapped.n,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import re
 from itertools import chain
 from typing import Any
@@ -29,6 +30,15 @@ FORMAT_VERSION = "1"
 def _require(cond: bool, where: str, msg: str):
     if not cond:
         raise ContractError(f"{where}: {msg}")
+
+
+def _read_json(path: str):
+    """Parsed contents of a JSON file, which must be UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _check_version(data: dict, where: str):
@@ -103,8 +113,7 @@ def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamilt
 
 
 def load_hamiltonian(path: str) -> LocalHamiltonian:
-    with open(path, encoding="utf-8") as fh:
-        return hamiltonian_from_data(json.load(fh), where=path)
+    return hamiltonian_from_data(_read_json(path), where=path)
 
 
 def save_hamiltonian(H: LocalHamiltonian, path: str) -> None:
@@ -156,8 +165,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
 
 
 def load_circuit(path: str) -> QuantumCircuit:
-    with open(path, encoding="utf-8") as fh:
-        return circuit_from_data(json.load(fh), where=path)
+    return circuit_from_data(_read_json(path), where=path)
 
 
 def save_circuit(circuit: QuantumCircuit, path: str) -> None:
@@ -192,6 +200,9 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
     epsilon = data.get("epsilon")
     _require(isinstance(epsilon, (int, float)) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
     kind = data.get("kind", "quantum")
+    N_max = data.get("N_max")
+    _require(N_max is None or (type(N_max) in (int, float) and 0 < N_max < math.inf), where,
+             f"N_max must be a finite positive number, got {N_max!r}")
     ops_data = data.get("operators", [])
     _require(isinstance(ops_data, list) and ops_data, where, "operators must be a nonempty list")
     matrices = []
@@ -224,13 +235,12 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
         epsilon=float(epsilon),
         kind=kind,
         pauli_operators=tuple(paulis) if all_pauli else None,
-        N_max=data.get("N_max"),
+        N_max=N_max,
     )
 
 
 def load_sat_instance(path: str) -> SatInstance:
-    with open(path, encoding="utf-8") as fh:
-        return sat_instance_from_data(json.load(fh), where=path)
+    return sat_instance_from_data(_read_json(path), where=path)
 
 
 def save_sat_instance(instance: SatInstance, path: str) -> None:

@@ -17,17 +17,11 @@ import scipy.sparse as sp
 from .classify import _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    _PHASE,
-    DENSE_CAP,
-    LocalHamiltonian,
-    _csr_entries,
-    _string_phases,
-    _sum_terms,
-    build_matrix,
+    _PHASE, DENSE_CAP, LocalHamiltonian, _phase_matrix, _sum_terms, _term_phases, build_matrix,
 )
 from .spectra import eig_dense
 
-# F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j; _cycle_terms places F^k by index arithmetic.
+# F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j; _cycle_rows places F^k by index arithmetic.
 _F = sp.csr_matrix((np.ones(4), ((np.arange(4) - 1) % 4, np.arange(4))), shape=(4, 4))
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -46,18 +40,20 @@ def _z4_basis() -> dict[str, np.ndarray]:
 _Z2_BASIS = {"-": MINUS, "+": PLUS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappedHamiltonian:
-    """Result of a sign-elimination map.
+    """Result of a sign-elimination map, packed one row per term.
 
-    The realized matrix is always sum(weight * term) over `terms`; for
-    the normalized maps each term is a permutation matrix and the
-    weights sum to 1, which is what makes the result stochastic.
+    The realized matrix is sum_t weights[t] P_t, where the permutation
+    matrix P_t has the one entry of column c in row rows[t, c]. For the
+    normalized maps the weights are positive and sum to 1, which is what
+    makes the result stochastic; stoquastize's weights are -alpha_t.
     """
 
     n: int
     ancilla_count: int
-    terms: tuple[tuple[float, sp.csr_matrix], ...]
+    weights: np.ndarray
+    rows: np.ndarray
     normalization: float
     kind: str
     p: float | None = None
@@ -81,8 +77,16 @@ class MappedHamiltonian:
     def sector_labels(self) -> tuple[str, ...]:
         return tuple(self.sector_basis)
 
+    @property
+    def terms(self) -> tuple[tuple[float, sp.csr_matrix], ...]:
+        """(weight, P_t) one term at a time: the reference realize() is tested against."""
+        cols, ones = np.arange(self.dim), np.ones(self.dim)
+        return tuple((float(w), sp.csr_matrix((ones, (r, cols)), shape=(self.dim, self.dim)))
+                     for w, r in zip(self.weights, self.rows))
+
     def realize(self) -> sp.csr_matrix:
-        return _sum_terms(self.dim, ((w, *_csr_entries(G)) for w, G in self.terms))
+        cols = np.arange(self.dim, dtype=np.int32)
+        return _sum_terms(self.dim, [(self.weights[:, None], self.rows, cols, 1.0)])
 
     def sector_isometry(self, sector: str) -> sp.csr_matrix:
         basis = self.sector_basis
@@ -98,59 +102,50 @@ class MappedHamiltonian:
 
 @dataclass(frozen=True)
 class SectorDecomposition:
-    """Effective operators of the four ancilla sectors of the Z4 map.
+    """Effective operators of the four ancilla sectors of the Z4 map of `source`.
 
-    operators[1] is the input Hamiltonian itself and operators[3] its
-    entrywise complex conjugate; 0 and 2 carry the entrywise absolute
-    value combinations picked up by the map. No 1/N normalization here.
+    H(1) is the input Hamiltonian itself and H(3) its entrywise complex
+    conjugate; 0 and 2 carry the entrywise absolute value combinations
+    picked up by the map. No 1/N normalization here. Each operator is
+    built only when asked for.
     """
 
-    operators: dict[int, sp.csr_matrix]
+    source: LocalHamiltonian
 
     def H(self, j: int) -> sp.csr_matrix:
-        return self.operators[j]
+        # sector j sees the entry i^k as the phase i^(jk)
+        return _phase_matrix(self.source, _PHASE[(j * np.arange(4)) % 4])
 
 
-def _cycle_terms(H: LocalHamiltonian, m: int, shift: int = 0, value: float = 1.0):
-    """(alpha, string image) for every term of H, on n + log2(m) qubits.
+def _cycle_rows(H: LocalHamiltonian, m: int, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, rows) of every term's image on n + log2(m) qubits, rows terms x 2^n m.
 
     An entry i^k at (r, c) becomes the ancilla block entries
-    (r m + (a - step) mod m, c m + a), a = 0..m-1, each equal to `value`,
-    with step = (k m/4 + shift) mod m. For m = 2 that is I or X on one
+    (r m + (a - step) mod m, c m + a), a = 0..m-1, with
+    step = (k m/4 + shift) mod m. For m = 2 that is I or X on one
     ancilla qubit; for m = 4 it is F^k.
     """
     dim = (1 << H.n) * m
-    a = np.arange(m)
-    for alpha, string in H.terms:
-        if m == 2 and not string.has_real_entries():
-            raise ContractError(f"term {string} has complex entries; use stochastize_complex")
-        rows, cols, k = _string_phases(string, H.n)
-        step = (k * m // 4 + shift) % m
-        r = (rows[:, None] * m + (a[None, :] - step[:, None]) % m).ravel()
-        c = (cols[:, None] * m + a[None, :]).ravel()
-        yield float(alpha), _sum_terms(dim, [(value, r, c, np.ones(r.size))])
+    if m == 2 and not H.has_real_entries():
+        string = next(s for _, s in H.terms if not s.has_real_entries())
+        raise ContractError(f"term {string} has complex entries; use stochastize_complex")
+    alpha, rows, k = _term_phases(H, dim)
+    step = (k * m // 4 + shift) % m
+    a = np.arange(m, dtype=np.int32)
+    return alpha, (rows[:, :, None] * m + (a - step[:, :, None]) % m).reshape(len(alpha), dim)
 
 
-def _penalty_pieces(n: int, total_qubits: int, weight: float) -> list[tuple]:
-    """(1 - weight)/2 (1 + X on qubit n) as two _sum_terms pieces.
+def _with_penalty(mapped: MappedHamiltonian, p: float, kind: str, warnings) -> MappedHamiltonian:
+    """p * mapped + (1-p)/2 (1 + X on qubit n), as a mapped Hamiltonian.
 
     Qubit n is the only ancilla of the Z2 map and the first ancilla of
     the Z4 map.
     """
-    idx = np.arange(1 << total_qubits)
-    ones = np.ones(idx.size)
-    half = (1.0 - weight) / 2.0
-    return [(half, idx, idx, ones), (half, idx ^ (1 << (total_qubits - 1 - n)), idx, ones)]
-
-
-def _with_penalty(mapped: MappedHamiltonian, p: float, kind: str, warnings) -> MappedHamiltonian:
-    """p * mapped + (1-p)/2 (1 + X on the first ancilla), as a mapped Hamiltonian."""
-    penalty = tuple(
-        (w, _sum_terms(mapped.dim, [(1.0, r, c, v)]))
-        for w, r, c, v in _penalty_pieces(mapped.n, mapped.total_qubits, p)
-    )
-    terms = tuple((p * w, G) for w, G in mapped.terms) + penalty
-    return replace(mapped, terms=terms, kind=kind, p=p, warnings=warnings)
+    idx = np.arange(mapped.dim, dtype=np.int32)
+    half = (1.0 - p) / 2.0
+    return replace(mapped, weights=np.concatenate([p * mapped.weights, [half, half]]),
+                   rows=np.vstack([mapped.rows, idx, idx ^ (1 << (mapped.ancilla_count - 1))]),
+                   kind=kind, p=p, warnings=warnings)
 
 
 def stoquastize(H: LocalHamiltonian) -> MappedHamiltonian:
@@ -160,12 +155,9 @@ def stoquastize(H: LocalHamiltonian) -> MappedHamiltonian:
     through 1 -> I, -1 -> X on the ancilla. The realized matrix equals
     H (x) |-><-|  -  Hbar (x) |+><+|, so the |-> sector reproduces H.
     """
+    alpha, rows = _cycle_rows(H, 2, shift=1)
     return MappedHamiltonian(
-        n=H.n,
-        ancilla_count=1,
-        terms=tuple(_cycle_terms(H, 2, shift=1, value=-1.0)),
-        normalization=H.N,
-        kind="stoquastic",
+        n=H.n, ancilla_count=1, weights=-alpha, rows=rows, normalization=H.N, kind="stoquastic"
     )
 
 
@@ -179,12 +171,9 @@ def stochastize(H: LocalHamiltonian) -> MappedHamiltonian:
     if not H.terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
+    alpha, rows = _cycle_rows(H, 2)
     return MappedHamiltonian(
-        n=H.n,
-        ancilla_count=1,
-        terms=tuple((alpha / N, G) for alpha, G in _cycle_terms(H, 2)),
-        normalization=N,
-        kind="stochastic",
+        n=H.n, ancilla_count=1, weights=alpha / N, rows=rows, normalization=N, kind="stochastic"
     )
 
 
@@ -210,26 +199,17 @@ def stochastize_complex(H: LocalHamiltonian) -> tuple[MappedHamiltonian, SectorD
 
     Entry phases {1, i, -1, -i} are replaced by powers {I, F, F^2, F^3}
     of the ancilla 4-cycle. Sector v_1 carries H/N, sector v_3 carries
-    the conjugate; the returned decomposition lists all four sector
+    the conjugate; the returned decomposition gives all four sector
     operators without the 1/N factor.
     """
     if not H.terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
-    phases = [(float(alpha), _string_phases(string, H.n)) for alpha, string in H.terms]
-    # Sector j sees the entry i^k as the phase i^(jk).
-    decomp = SectorDecomposition({
-        j: _sum_terms(1 << H.n, ((alpha, r, c, _PHASE[(j * k) % 4]) for alpha, (r, c, k) in phases))
-        for j in range(4)
-    })
+    alpha, rows = _cycle_rows(H, 4)
     mapped = MappedHamiltonian(
-        n=H.n,
-        ancilla_count=2,
-        terms=tuple((alpha / N, G) for alpha, G in _cycle_terms(H, 4)),
-        normalization=N,
-        kind="stochastic-z4",
+        n=H.n, ancilla_count=2, weights=alpha / N, rows=rows, normalization=N, kind="stochastic-z4"
     )
-    return mapped, decomp
+    return mapped, SectorDecomposition(H)
 
 
 def add_penalty_complex(mapped: MappedHamiltonian, p: float) -> MappedHamiltonian:

@@ -8,7 +8,7 @@ bits).
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,12 +26,8 @@ HERMITIAN_TOL = 1e-10
 
 PAULI_LABELS = ("X", "Y", "Z")
 
-_PAULI_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# Row a is conj(P_a) flattened over 2r + c for P_a = I, X, Y, Z: it reads Tr(P_a B) off a 2 x 2 block B.
+_PAULI_DUAL = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 # i^k for k = 0..3: a Pauli string entry is always one of these.
 _PHASE = np.array([1, 1j, -1, -1j])
@@ -46,11 +42,6 @@ def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
     if A.shape[0] != A.shape[1]:
         return False
     return abs(A - A.conj().T).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
-
-
-def bit_of(index, qubit: int, n: int):
-    """Bit of `qubit` inside an n-qubit basis index (qubit 0 most significant)."""
-    return (index >> (n - 1 - qubit)) & 1
 
 
 @dataclass(frozen=True)
@@ -102,21 +93,25 @@ class PauliString:
         return ("+" if self.sign > 0 else "-") + body
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse a realization above the cap before anything of its size is allocated."""
+    if dim > 1 << MAX_QUBITS:
+        raise ResourceError(f"dimension {dim} exceeds the {MAX_QUBITS}-qubit realization cap")
+
+
 def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
     """Sum of weighted sparse pieces as one dim x dim CSR matrix.
 
-    Each piece is (weight, rows, cols, vals). All pieces are concatenated
-    once; duplicate positions are summed and entries that cancel to zero
-    are dropped. The result is real unless some piece is complex.
+    Each piece is (weight, rows, cols, vals), arrays that broadcast
+    together. All pieces are flattened and concatenated once, in order;
+    duplicate positions are summed and entries that cancel to zero are
+    dropped. The result is real unless some piece is complex.
     """
-    if dim > 1 << MAX_QUBITS:
-        raise ResourceError(f"dimension {dim} exceeds the {MAX_QUBITS}-qubit realization cap")
-    pieces = list(pieces)
+    _check_dim(dim)
+    pieces = [np.broadcast_arrays(r, c, w * v) for w, r, c, v in pieces]
     if not pieces:
         return sp.csr_matrix((dim, dim))
-    rows = np.concatenate([r for _, r, _, _ in pieces])
-    cols = np.concatenate([c for _, _, c, _ in pieces])
-    vals = np.concatenate([w * v for w, _, _, v in pieces])
+    rows, cols, vals = (np.concatenate([p[i].ravel() for p in pieces]) for i in range(3))
     out = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     out.eliminate_zeros()
     return out
@@ -129,33 +124,13 @@ def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, A.indices, A.data
 
 
-def _string_phases(string: PauliString, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, k): the string has entry i^k at (rows, cols), one per column."""
-    for q in string.qubits():
-        if q >= n:
-            raise ContractError(f"qubit {q} out of range for n={n}")
-    cols = np.arange(1 << n, dtype=np.int64)
-    flip = sum(1 << (n - 1 - q) for q, op in string.factors if op != "Z")
-    # each Z or Y factor contributes -1 on the columns where its qubit reads 1
-    z_ones = sum((bit_of(cols, q, n) for q, op in string.factors if op != "X"), np.zeros_like(cols))
-    k = (2 * z_ones + string.y_count() + 1 - string.sign) % 4
-    return cols ^ flip, cols, k
-
-
-def _string_entries(string: PauliString, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of a string; vals are real for an even number of Y factors."""
-    rows, cols, k = _string_phases(string, n)
-    vals = _PHASE[k]
-    return rows, cols, vals.real if string.has_real_entries() else vals
-
-
 def realize_string(string: PauliString, n: int) -> sp.csr_matrix:
     """Sparse matrix of sign * (tensor of factors) on n qubits.
 
     Entries are +-1 for an even number of Y factors and +-i otherwise;
     either way there is exactly one entry per row and column.
     """
-    return _sum_terms(1 << n, [(1.0, *_string_entries(string, n))])
+    return build_matrix(LocalHamiltonian(n, ((1.0, string),)))
 
 
 @dataclass(frozen=True)
@@ -223,6 +198,18 @@ class LocalHamiltonian:
     def has_real_entries(self) -> bool:
         return all(s.has_real_entries() for _, s in self.terms)
 
+    @functools.cached_property
+    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Binary symplectic form, one entry per term: x-mask, z-mask, Y count, signed coefficient.
+
+        Bit n-1-q of the x-mask (z-mask) is set when qubit q carries X or
+        Y (Z or Y). Built once, on first use.
+        """
+        masks = [[sum(1 << (self.n - 1 - q) for q, op in s.factors if op != skip) for skip in "ZX"]
+                + [s.y_count()] for _, s in self.terms]
+        x, z, y = np.array(masks, dtype=np.int32).reshape(-1, 3).T
+        return x, z, y, np.array([alpha * s.sign for alpha, s in self.terms], dtype=float)
+
     def signed_items(self) -> list[tuple[float, tuple[tuple[int, str], ...]]]:
         return [(alpha * s.sign, s.factors) for alpha, s in self.terms]
 
@@ -241,11 +228,32 @@ class LocalHamiltonian:
         return LocalHamiltonian(self.n, self.terms + other.terms)
 
 
+def _term_phases(H: LocalHamiltonian, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, rows, k) of every term at once: term t has entry alpha[t] i^k[t, c] at (rows[t, c], c).
+
+    rows and k are terms x 2^n arrays, allocated only once a realization
+    of dimension dim has passed the cap.
+    """
+    _check_dim(dim)
+    x, z, y, coeff = H._packed
+    cols = np.arange(1 << H.n, dtype=np.int32)
+    # each Z or Y factor contributes -1 on the columns where its qubit reads 1
+    odd = np.bitwise_count(cols & z[:, None]) & 1
+    k0 = ((y + np.where(coeff > 0, 0, 2)) % 4).astype(np.uint8)
+    return np.abs(coeff), cols ^ x[:, None], (2 * odd + k0[:, None]) % 4
+
+
+def _phase_matrix(H: LocalHamiltonian, table: np.ndarray) -> sp.csr_matrix:
+    """sum_t alpha_t T_t, where T_t is term t with each entry phase i^k replaced by table[k]."""
+    alpha, rows, k = _term_phases(H, 1 << H.n)
+    return _sum_terms(1 << H.n, [(alpha[:, None], rows, np.arange(1 << H.n, dtype=np.int32), table[k])])
+
+
 def build_matrix(H: LocalHamiltonian, max_qubits: int = MAX_QUBITS) -> sp.csr_matrix:
-    """Realize a LocalHamiltonian as a sparse 2^n x 2^n matrix."""
+    """Realize a LocalHamiltonian as a sparse 2^n x 2^n matrix (real when every term is)."""
     if H.n > max_qubits:
         raise ResourceError(f"n={H.n} exceeds the {max_qubits}-qubit realization cap")
-    return _sum_terms(1 << H.n, ((alpha, *_string_entries(s, H.n)) for alpha, s in H.terms))
+    return _phase_matrix(H, _PHASE.real if H.has_real_entries() else _PHASE)
 
 
 def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.csr_matrix:
@@ -294,8 +302,9 @@ def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np
 def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> LocalHamiltonian:
     """Expand a Hermitian matrix on k qubits into weighted Pauli strings.
 
-    Inverse of build_matrix up to the merge rules. Intended for small
-    local blocks (k <= 6 or so); cost grows as 8^k.
+    Inverse of build_matrix up to the merge rules. One 4 x 4 transform
+    per qubit reads all 4^k coefficients at once, so the cost is
+    k 4^k; it is meant for local blocks, not whole registers.
     """
     dense = np.asarray(matrix.toarray() if sp.issparse(matrix) else matrix, dtype=complex)
     dim = dense.shape[0]
@@ -306,18 +315,18 @@ def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> Loc
         raise ContractError(f"dimension {dim} is not a power of two")
     if not _is_hermitian(dense):
         raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
+    # One axis per qubit q, indexed by 2 r_q + c_q; words then come in itertools.product("IXYZ", k) order.
+    pairs = [a for q in range(k) for a in (q, k + q)]
+    coeffs = dense.reshape((2,) * 2 * k).transpose(pairs).reshape((4,) * k)
+    for _ in range(k):  # transform the leading qubit axis and move it to the back
+        coeffs = np.tensordot(coeffs, _PAULI_DUAL, axes=(0, 1))
+    coeffs = coeffs.ravel() / dim
+    if np.abs(coeffs.imag).max() > 1e-9:
+        raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
     items = []
-    for word in itertools.product("IXYZ", repeat=k):
-        op = np.array([[1.0 + 0j]])
-        for label in word:
-            op = np.kron(op, _PAULI_DENSE[label])
-        coeff = np.vdot(op, dense) / dim
-        if abs(coeff.imag) > 1e-9:
-            raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
-        if abs(coeff.real) <= tol:
-            continue
-        factors = {q: label for q, label in enumerate(word) if label != "I"}
-        items.append((coeff.real, factors))
+    for word in np.flatnonzero(np.abs(coeffs.real) > tol):
+        labels = ["IXYZ"[(word >> 2 * (k - 1 - q)) & 3] for q in range(k)]
+        items.append((coeffs.real[word], {q: label for q, label in enumerate(labels) if label != "I"}))
     return LocalHamiltonian.from_signed(max(k, 1), items)
 
 

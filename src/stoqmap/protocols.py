@@ -133,8 +133,7 @@ def reduce_qsat(instance: SatInstance, p: float = 1.0 / 3.0) -> SatInstance:
     for H in hams:
         mapped, _ = mapping.stochastize_complex(H)
         norms.append(mapped.normalization)
-        pieces = [(p * w, *_csr_entries(G)) for w, G in mapped.terms]
-        out_ops.append(_sum_terms(mapped.dim, pieces + mapping._penalty_pieces(n, n + 2, p)))
+        out_ops.append(mapping._with_penalty(mapped, p, "stochastic-z4-penalty", ()).realize())
     N_max = max(norms)
     eps_tilde = p * instance.epsilon / (instance.m * N_max)
     return SatInstance(

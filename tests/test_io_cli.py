@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,15 @@ def bad_matrix(entry):
     return [[entry, [0, 0]], [[0, 0], [1, 0]]]
 
 
+# N_max must be absent or a finite positive number.
+BAD_N_MAX = ["abc", True, float("nan"), -1, 0, float("inf")]
+
+
+def sat_with_n_max(n_max):
+    return {"version": "1", "n": 1, "epsilon": 0.1, "N_max": n_max,
+            "operators": [{"terms": [{"coeff": 0.5, "paulis": []}]}]}
+
+
 def test_circuit_file_rejects_bad_gates_with_context():
     with pytest.raises(ContractError, match=r"gates\[0\].*unitary"):
         circuit_from_data(
@@ -194,6 +204,10 @@ def test_circuit_file_rejects_bad_gates_with_context():
             sat_instance_from_data(
                 {"version": "1", "n": 1, "epsilon": 0.1, "operators": [{"matrix": bad_matrix(entry)}]}
             )
+    for n_max in BAD_N_MAX:
+        with pytest.raises(ContractError, match=r"^sat instance: N_max must be a finite positive number"):
+            sat_instance_from_data(sat_with_n_max(n_max))
+    assert sat_instance_from_data(sat_with_n_max(2.5)).N_max == 2.5
 
 
 def test_sat_round_trip_pauli_form():
@@ -282,7 +296,10 @@ def test_writer_matches_list_form_on_generated_sat_instances(ops, kind, epsilon,
     inst = SatInstance(n=n, operators=tuple(ops), epsilon=epsilon, kind=kind, N_max=n_max)
     text = report_to_json(sat_instance_to_data(inst))
     assert text == sat_oracle(inst)
-    if all(np.all(np.isfinite(op.data)) for op in inst.operators):
+    if n_max is not None and not 0 < n_max < math.inf:
+        with pytest.raises(ContractError, match="N_max must be a finite positive number"):
+            sat_instance_from_data(json.loads(text))
+    elif all(np.all(np.isfinite(op.data)) for op in inst.operators):
         back = sat_instance_from_data(json.loads(text))
         assert all(np.array_equal(a.toarray(), b.toarray()) for a, b in zip(inst.operators, back.operators))
 
@@ -517,6 +534,17 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
         bad_gate.write_text(json.dumps(sat), encoding="utf-8")
         assert run_command(["sat", "decide", str(bad_gate)]) == 2
         assert "operators[0]: " in capsys.readouterr().err
+    for n_max in BAD_N_MAX:
+        bad_gate.write_text(json.dumps(sat_with_n_max(n_max)), encoding="utf-8")
+        for action in ("decide", "reduce"):
+            assert run_command(["sat", action, str(bad_gate), "--out", str(tmp_path / "r.json")]) == 2
+            assert f"error: {bad_gate}: N_max must be" in capsys.readouterr().err
+    # a file that is not UTF-8 (here a UTF-16 byte-order mark) reaches each loader
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    for argv in (["ham", "check"], ["clock", "build"], ["sat", "decide"]):
+        assert run_command(argv + [str(utf16)]) == 2
+        assert f"error: {utf16}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):

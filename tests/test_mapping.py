@@ -223,7 +223,8 @@ def test_doubling_zero_hamiltonian():
     # a zero Hamiltonian is an empty term list: the penalty alone remains
     # and its kernel (work register (x) |->_first-ancilla) is 4-dimensional
     zero = MappedHamiltonian(
-        n=1, ancilla_count=2, terms=(), normalization=0.0, kind="stochastic-z4"
+        n=1, ancilla_count=2, weights=np.zeros(0), rows=np.zeros((0, 8), dtype=np.int64),
+        normalization=0.0, kind="stochastic-z4",
     )
     pen = add_penalty_complex(zero, 0.25)
     vals = np.linalg.eigvalsh(pen.realize().toarray())

@@ -1,11 +1,14 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
-every dense eigensolve goes through one function, and so does every JSON write."""
+every dense eigensolve goes through one function, and so does every JSON write.
+Pauli strings are realized and decomposed from the packed form, never one
+Kronecker product at a time."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stoqmap"
-SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "HERMITIAN_TOL", "MAX_QUBITS", "_as_csr", "_eigh", "_is_hermitian")
+SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "HERMITIAN_TOL", "MAX_QUBITS", "_as_csr", "_eigh", "_is_hermitian",
+          "_term_phases")
 # Each dense LAPACK eigensolver may be named only inside its one gate (module.function).
 SOLVER_HOMES = {
     "eigh": "classify._eigh",
@@ -15,6 +18,9 @@ SOLVER_HOMES = {
 }
 # json.dump and json.dumps may be named only inside the one writer.
 WRITER_HOMES = {"dump": "io.report_to_json", "dumps": "io.report_to_json"}
+# Per-term or per-word loops the packed form replaced: (module, attribute) never named in these files.
+PACKED_FILES = ("pauli.py", "mapping.py")
+BANNED = {("np", "kron"), ("numpy", "kron"), ("itertools", "product")}
 
 
 def _defined_names(tree):
@@ -75,3 +81,17 @@ def test_dense_eigensolvers_called_only_inside_their_gate():
 
 def test_json_written_only_by_the_one_writer():
     _check_homes(WRITER_HOMES)
+
+
+def test_pauli_and_mapping_use_no_kron_or_product_loops():
+    found = []
+    for name in PACKED_FILES:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) in BANNED:
+                    found.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "itertools"):
+                found += [f"{name}:{node.lineno} from {node.module} import {a.name}"
+                          for a in node.names if (node.module, a.name) in BANNED]
+    assert not found, found

@@ -1,0 +1,172 @@
+"""Generated-input oracles for the packed Pauli form.
+
+build_matrix, the three maps and pauli_decompose each assemble every
+term at once from the binary symplectic form. Each is compared here with
+a slow, independent reference built one term or one Pauli word at a
+time with np.kron, on Hamiltonians drawn with Y factors, locality up to
+three and strings that merge to zero.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from stoqmap import (
+    LocalHamiltonian,
+    ResourceError,
+    build_matrix,
+    classify,
+    pauli_decompose,
+    random_instance,
+    stochastize,
+    stochastize_complex,
+    stoquastize,
+)
+
+PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+TOL = 1e-12
+
+
+def kron_word(word):
+    out = np.array([[1.0 + 0j]])
+    for label in word:
+        out = np.kron(out, PAULIS[label])
+    return out
+
+
+def kron_matrix(H):
+    """Sum over terms of alpha * sign * (Kronecker product of factors), one term at a time."""
+    out = np.zeros((1 << H.n, 1 << H.n), dtype=complex)
+    for alpha, string in H.terms:
+        word = [dict(string.factors).get(q, "I") for q in range(H.n)]
+        out += alpha * string.sign * kron_word(word)
+    return out
+
+
+def kron_decompose(dense, tol=TOL):
+    """The 8^k loop: one Kronecker product and one vdot per Pauli word, in itertools order."""
+    k = dense.shape[0].bit_length() - 1
+    items = []
+    for word in itertools.product("IXYZ", repeat=k):
+        coeff = np.vdot(kron_word(word), dense) / dense.shape[0]
+        if abs(coeff.real) > tol:
+            items.append((coeff.real, {q: label for q, label in enumerate(word) if label != "I"}))
+    return items
+
+
+def signed(H):
+    return {string.factors: alpha * string.sign for alpha, string in H.terms}
+
+
+@st.composite
+def hamiltonians(draw, real=False):
+    """Up to 6 strings of weight <= 3 on n <= 4 qubits; some repeated with opposite sign."""
+    n = draw(st.integers(1, 4))
+    ops = "XZ" if real else "XYZ"
+    factors = st.dictionaries(st.integers(0, n - 1), st.sampled_from(ops), max_size=min(n, 3))
+    coeff = st.floats(0.05, 2.0).flatmap(lambda a: st.sampled_from([a, -a]))
+    items = draw(st.lists(st.tuples(coeff, factors), min_size=1, max_size=6))
+    cancel = draw(st.lists(st.sampled_from(items), max_size=2))
+    items += [(-c, f) for c, f in cancel]
+    if real:  # even Y count per string: add YY pairs on two qubits
+        if n >= 2 and draw(st.booleans()):
+            items.append((draw(coeff), {0: "Y", n - 1: "Y"}))
+    return LocalHamiltonian.from_signed(n, items)
+
+
+def sector_block(mapped, sector, realized):
+    V = mapped.sector_isometry(sector)
+    return (V.getH() @ realized @ V).toarray()
+
+
+@seed(20090528)
+@settings(max_examples=80, deadline=None, database=None)
+@given(hamiltonians())
+def test_packed_build_matrix_matches_kron_oracle(H):
+    M = build_matrix(H)
+    assert sp.isspmatrix_csr(M)
+    assert np.max(np.abs(M.toarray() - kron_matrix(H)), initial=0.0) <= TOL
+    assert M.dtype == (float if H.has_real_entries() else complex)
+
+
+@seed(20090528)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hamiltonians(real=True))
+def test_real_maps_match_their_terms_and_keep_the_minus_sector(H):
+    want = build_matrix(H).toarray()
+    stoq = stoquastize(H)
+    realized = stoq.realize()
+    parts = sum((w * G.toarray() for w, G in stoq.terms), np.zeros((stoq.dim, stoq.dim)))
+    assert np.max(np.abs(realized.toarray() - parts)) <= TOL
+    assert np.max(np.abs(sector_block(stoq, "-", realized) - want), initial=0.0) <= TOL
+    assert classify(realized).stoquastic
+    if not H.terms:
+        return
+    stoch = stochastize(H)
+    realized = stoch.realize()
+    dense = realized.toarray()
+    parts = sum(w * G.toarray() for w, G in stoch.terms)
+    assert np.max(np.abs(dense - parts)) <= TOL
+    assert np.max(np.abs(sector_block(stoch, "-", realized) - want / H.N)) <= TOL
+    assert dense.min() >= 0.0
+    assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= TOL
+    assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= TOL
+
+
+@seed(20090528)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hamiltonians())
+def test_z4_map_matches_its_terms_and_both_conjugate_sectors(H):
+    if not H.terms:
+        return
+    mapped, dec = stochastize_complex(H)
+    realized = mapped.realize()
+    dense = realized.toarray()
+    parts = sum(w * G.toarray() for w, G in mapped.terms)
+    assert np.max(np.abs(dense - parts)) <= TOL
+    want = kron_matrix(H) / H.N
+    assert np.max(np.abs(sector_block(mapped, "v1", realized) - want)) <= TOL
+    assert np.max(np.abs(sector_block(mapped, "v3", realized) - want.conj())) <= TOL
+    assert np.max(np.abs(dec.H(1).toarray() - H.N * want)) <= TOL
+    assert np.max(np.abs(dec.H(3).toarray() - H.N * want.conj())) <= TOL
+    assert dense.min() >= 0.0 and np.max(np.abs(dense.sum(axis=0) - 1.0)) <= TOL
+
+
+@seed(20090528)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hamiltonians())
+def test_fast_decomposition_matches_kron_loop_and_inverts_build_matrix(H):
+    dense = build_matrix(H).toarray()
+    got = pauli_decompose(dense)
+    want = LocalHamiltonian.from_signed(H.n, kron_decompose(dense))
+    assert [s for _, s in got.terms] == [s for _, s in want.terms]
+    assert all(abs(a - b) <= TOL for (a, _), (b, _) in zip(got.terms, want.terms))
+    # coefficients at or below tol are dropped by contract, so a near-cancelled merge may vanish
+    back, orig = signed(got), {f: c for f, c in signed(H).items() if abs(c) > TOL}
+    assert back.keys() == orig.keys()
+    assert all(abs(back[f] - orig[f]) <= TOL for f in orig)
+
+
+@pytest.mark.parametrize("n, make", [(14, stoquastize), (14, stochastize),
+                                     (13, lambda H: stochastize_complex(H)[0])])
+def test_maps_check_the_cap_before_allocating(n, make):
+    H = random_instance(n, locality=1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="realization cap"):
+            make(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one int64 per basis state of the work register: no terms x 2^n array was built
+    assert peak < (1 << n) * 8
