@@ -2,11 +2,14 @@
 
 The integrator applies exact matrix exponentials of the midpoint
 Hamiltonian on each step, so the evolution is unitary to roundoff and
-the only error is the O(dt^2) schedule discretization.
+the only error is the O(dt^2) schedule discretization. Each exponential
+is taken block by block over the connected components of the sample's
+stored sparsity pattern, which the sample leaves invariant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _eigh
+from .classify import _check_dense_cap, _eigh
 from .clock import ClockTerm, QuantumCircuit, _propagation_pieces, build_ff, clock_state_index
 from .errors import ContractError
 from .pauli import DENSE_CAP, _csr_entries
@@ -118,6 +121,36 @@ class AdiabaticTrace:
     steps: int
 
 
+def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The invariant blocks of H: the connected components of its stored pattern, grouped by size.
+
+    Group (idx, entries, slots) stacks its b components of size m:
+    idx[j] lists component j's basis indices in ascending order, and
+    H.data[entries] lands at the flat positions slots of the dense
+    (b, m, m) stack. The graph is read from indptr/indices only, so a
+    stored entry couples its row and column whatever its value.
+    """
+    from scipy.sparse.csgraph import connected_components  # on first use: no other command needs its ~1 MB
+
+    dim = H.shape[0]
+    graph = sp.csr_matrix((np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape)
+    count, labels = connected_components(graph, directed=False)
+    size = np.bincount(labels, minlength=count)[labels]
+    order = np.lexsort((np.arange(dim), labels, size))  # by component size, then component, then index
+    where = np.empty(dim, dtype=np.intp)
+    where[order] = np.arange(dim)
+    rows = np.repeat(np.arange(dim), np.diff(H.indptr))
+    groups = []
+    start = 0
+    for m in np.unique(size):
+        stop = start + np.count_nonzero(size == m)
+        entries = np.flatnonzero(size[rows] == m)
+        r, c = where[rows[entries]] - start, where[H.indices[entries]] - start
+        groups.append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
+        start = stop
+    return groups
+
+
 def evolve(
     path: HamiltonianPath,
     T: float,
@@ -131,9 +164,16 @@ def evolve(
     target "ground" tracks the population of the instantaneous ground
     eigenspace (eigenvalues within a degeneracy window of the minimum);
     a vector or a callable u -> vector tracks |<target|psi>|^2 instead.
+
+    Each step diagonalizes the midpoint sample block by block (see
+    _pattern_blocks), all blocks of one size in one stacked solve. The
+    blocks are found once per distinct pattern. dense_cap bounds the
+    sample's whole dimension, checked before anything dense is built.
     """
     if steps < 1:
         raise ContractError("need at least one step")
+    if not (math.isfinite(T) and T > 0):
+        raise ContractError(f"total time T must be finite and positive, got {T}")
     psi = np.asarray(initial, dtype=complex).ravel().copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ContractError("initial state is not normalized")
@@ -163,10 +203,26 @@ def evolve(
             pops[k] = float(np.real(np.vdot(psi, path.sector_projector @ psi)))
 
     record(0, 0.0)
+    blocks, pattern = [], (None, None)
     for k in range(steps):
-        vals, vecs = _eigh(path.generator((k + 0.5) / steps), dense_cap)
-        phases = np.exp(-1j * vals * dt)
-        psi = vecs @ (phases * (vecs.conj().T @ psi))
+        H = path.generator((k + 0.5) / steps)
+        if not (sp.issparse(H) and H.format == "csr"):
+            H = sp.csr_matrix(H)
+        _check_dense_cap(H.shape[0], dense_cap)
+        if H.shape != (psi.size, psi.size):
+            raise ContractError(f"sample has shape {H.shape}, the state has dimension {psi.size}")
+        if not H.has_canonical_format:  # duplicate entries add up, as they would densified
+            H = H.copy()
+            H.sum_duplicates()
+        if not (np.array_equal(H.indptr, pattern[0]) and np.array_equal(H.indices, pattern[1])):
+            blocks, pattern = _pattern_blocks(H), (H.indptr.copy(), H.indices.copy())
+        for idx, entries, slots in blocks:
+            b, m = idx.shape
+            stack = np.zeros(b * m * m, dtype=H.dtype)
+            stack[slots] = H.data[entries]
+            vals, vecs = _eigh(stack.reshape(b, m, m), dense_cap)
+            amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * np.exp(-1j * vals * dt)
+            psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1, (k + 1.0) / steps)
     return AdiabaticTrace(
         times=times,
@@ -210,6 +266,8 @@ def measure_and_decode(
     gates (clock depth 2L), the work register is already final on every
     successful pattern, and the probability rises to (L+1)/(2L+1).
     """
+    if shots < 0:
+        raise ContractError(f"shots must be nonnegative, got {shots}")
     base_L = circuit.L
     L_total = 2 * base_L if padded else base_L
     n = circuit.n

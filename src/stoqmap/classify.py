@@ -58,16 +58,21 @@ def _max_abs(A: sp.spmatrix) -> float:
     return float(np.max(np.abs(A.data))) if A.nnz else 0.0
 
 
+def _check_dense_cap(dim: int, dense_cap: int) -> None:
+    if dim > dense_cap:
+        raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
+
+
 def _eigh(M, dense_cap: int, vectors: bool = True, tol: float = HERMITIAN_TOL):
     """The one dense Hermitian eigensolve: eigh(M), or eigvalsh(M) without vectors.
 
-    The dimension is checked against dense_cap before anything dense is
-    allocated, and a non-Hermitian M (see pauli._is_hermitian, loosened
-    by tol) is refused rather than read from one triangle.
+    M may also be a dense stack of equal-size blocks, solved over its
+    last two axes in one call. The block dimension is checked against
+    dense_cap before anything dense is allocated, and a non-Hermitian M
+    (see pauli._is_hermitian, loosened by tol) is refused rather than
+    read from one triangle.
     """
-    dim = M.shape[0]
-    if dim > dense_cap:
-        raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
+    _check_dense_cap(M.shape[-1], dense_cap)
     dense = M.toarray() if sp.issparse(M) else np.asarray(M)
     if not _is_hermitian(dense, tol):
         raise ContractError("matrix is not Hermitian")

@@ -28,15 +28,26 @@ from .clock import (
 )
 from .errors import ContractError, ConvergenceError, ResourceError
 from .mapping import add_ancilla_penalty, add_penalty_complex, stochastize, stochastize_complex, stoquastize
-from .pauli import DENSE_CAP, build_matrix
+from .pauli import DENSE_CAP, MAX_QUBITS, build_matrix
 from .protocols import ExcitedEnergyProblem, _verdict, decide_sat, reduce_qsat
 from .spectra import _flags_and_spectrum, eig_dense, spectral_report
+
+
+def _dense_cap(text: str) -> int:
+    """--dense-cap: no dense solve is larger than the largest register anything realizes."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= cap <= 1 << MAX_QUBITS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, 2^{MAX_QUBITS}], got {cap}")
+    return cap
 
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP)
+    parser.add_argument("--dense-cap", type=_dense_cap, default=DENSE_CAP)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
@@ -290,6 +301,7 @@ def _cmd_adiabatic(args, argv) -> int:
             k: v for k, v in sorted(measurement.decoded_distribution_exact.items())
         },
         "decoded_total_variation": tv,
+        "max_norm_drift": float(np.max(np.abs(trace.norms - 1.0))),
     }
     checks = [
         _check("sector_leakage_small", leakage <= 1e-8, leakage),

@@ -86,7 +86,7 @@ def hamiltonian_to_data(H: LocalHamiltonian) -> dict:
 def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamiltonian:
     _check_version(data, where)
     n = data.get("n")
-    _require(isinstance(n, int) and n >= 1, where, f"bad qubit count {n!r}")
+    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
     terms = data.get("terms", [])
     _require(isinstance(terms, list), where, "terms must be a list")
     items = []
@@ -94,7 +94,7 @@ def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamilt
         ctx = f"{where}.terms[{i}]"
         _require(isinstance(term, dict), ctx, "expected an object")
         coeff = term.get("coeff")
-        _require(isinstance(coeff, (int, float)), ctx, f"bad coeff {coeff!r}")
+        _require(type(coeff) in (int, float), ctx, f"bad coeff {coeff!r}")
         _require(np.isfinite(coeff), ctx, f"non-finite coeff {coeff!r}")
         paulis = term.get("paulis", [])
         _require(isinstance(paulis, list), ctx, "paulis must be a list")
@@ -103,7 +103,7 @@ def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamilt
             pctx = f"{ctx}.paulis[{j}]"
             _require(isinstance(pa, dict), pctx, "expected an object")
             q, op = pa.get("qubit"), pa.get("op")
-            _require(isinstance(q, int) and 0 <= q < n, pctx, f"bad qubit {q!r}")
+            _require(type(q) is int and 0 <= q < n, pctx, f"bad qubit {q!r}")
             _require(op in ("X", "Y", "Z"), pctx, f"bad op {op!r}")
             _require(q not in factors, pctx, f"duplicate qubit {q}")
             factors[q] = op
@@ -137,7 +137,7 @@ def circuit_to_data(circuit: QuantumCircuit) -> dict:
 def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
     _check_version(data, where)
     n = data.get("n")
-    _require(isinstance(n, int) and n >= 1, where, f"bad qubit count {n!r}")
+    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
     gates_data = data.get("gates", [])
     _require(isinstance(gates_data, list), where, "gates must be a list")
     gates = []
@@ -155,7 +155,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
             _require(matrix is not None, ctx, "CUSTOM needs a matrix")
             kwargs["matrix"] = json_to_matrix(matrix, ctx)
         elif name == "ROT":
-            _require(isinstance(angle, (int, float)), ctx, f"bad angle {angle!r}")
+            _require(type(angle) in (int, float), ctx, f"bad angle {angle!r}")
             kwargs["angle"] = float(angle)
         try:
             gates.append(Gate(name, tuple(qubits), **kwargs))
@@ -196,9 +196,9 @@ def sat_instance_to_data(instance: SatInstance) -> dict:
 def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstance:
     _check_version(data, where)
     n = data.get("n")
-    _require(isinstance(n, int) and n >= 1, where, f"bad qubit count {n!r}")
+    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
     epsilon = data.get("epsilon")
-    _require(isinstance(epsilon, (int, float)) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
+    _require(type(epsilon) in (int, float) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
     kind = data.get("kind", "quantum")
     N_max = data.get("N_max")
     _require(N_max is None or (type(N_max) in (int, float) and 0 < N_max < math.inf), where,

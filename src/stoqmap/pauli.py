@@ -34,14 +34,15 @@ _PHASE = np.array([1, 1j, -1, -1j])
 
 
 def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
-    """The package's one Hermiticity test, for a dense or sparse A.
+    """The package's one Hermiticity test, for a sparse A or a dense A or stack of equal blocks.
 
-    A caller's own tolerance may loosen the rule, never tighten it
-    below HERMITIAN_TOL.
+    A dense A is read over its last two axes. A caller's own tolerance
+    may loosen the rule, never tighten it below HERMITIAN_TOL.
     """
-    if A.shape[0] != A.shape[1]:
+    if A.shape[-1] != A.shape[-2]:
         return False
-    return abs(A - A.conj().T).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
+    adjoint = A.conj().T if sp.issparse(A) else np.swapaxes(A.conj(), -1, -2)
+    return abs(A - adjoint).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 
 from stoqmap import (
     ContractError,
@@ -24,9 +28,15 @@ from stoqmap import (
     measure_and_decode,
     output_distribution,
     rot,
+    run_command,
+    save_circuit,
     sector_leakage,
     stoquastic_interpolation_path,
 )
+
+from stoqmap.spectra import DEGENERACY_TOL
+
+adiabatic = importlib.import_module("stoqmap.adiabatic")
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -68,6 +78,11 @@ def test_evolve_rejects_bad_inputs():
         evolve(path, 1.0, 10, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ContractError, match="step"):
         evolve(path, 1.0, 0, np.array([1.0, 0.0, 0.0, 0.0]))
+    for T in (float("nan"), float("inf"), -3.0, 0.0):
+        with pytest.raises(ContractError, match="T must be finite and positive"):
+            evolve(path, T, 10, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ContractError, match="dimension 3"):
+        evolve(path, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=None)
 
 
 def test_evolve_checks_every_sample_before_diagonalizing():
@@ -77,6 +92,142 @@ def test_evolve_checks_every_sample_before_diagonalizing():
     skew = HamiltonianPath(lambda u: sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
     with pytest.raises(ContractError, match="Hermitian"):
         evolve(skew, 1.0, 1, np.array([1.0, 0.0]), target=None)
+
+
+def full_register_evolve(path, T, steps, initial, target):
+    """The propagator before blocking, kept as the oracle: one eigh of the whole sample per step.
+
+    Returns the final state and the norms, overlaps and sector populations at every sample.
+    """
+    psi = np.asarray(initial, dtype=complex).copy()
+    rows = []
+
+    def record(u):
+        if isinstance(target, str):
+            vals, vecs = np.linalg.eigh(path.generator(u).toarray())
+            ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
+            overlap = np.linalg.norm(ground.conj().T @ psi) ** 2
+        else:
+            overlap = abs(np.vdot(target, psi)) ** 2
+        pop = 0.0 if path.sector_projector is None else np.real(np.vdot(psi, path.sector_projector @ psi))
+        rows.append((np.linalg.norm(psi), overlap, pop))
+
+    record(0.0)
+    for k in range(steps):
+        vals, vecs = np.linalg.eigh(path.generator((k + 0.5) / steps).toarray())
+        psi = vecs @ (np.exp(-1j * vals * (T / steps)) * (vecs.conj().T @ psi))
+        record((k + 1.0) / steps)
+    return psi, np.array(rows)
+
+
+def counting_component_searches(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    search = scipy.sparse.csgraph.connected_components
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted)
+    return calls
+
+
+def legal_coupling(circuit, eps):
+    """eps (|legal><illegal| + h.c.) between the FF path's start state and an illegal clock pattern."""
+    path = ff_schedule_path(circuit)
+    legal = clock_state_index(0, circuit.L)
+    illegal = next(i for i in range(path.sector_projector.shape[0]) if path.sector_projector[i, i] == 0)
+    coupling = sp.csr_matrix(([eps, eps], ([legal, illegal], [illegal, legal])), shape=path.sector_projector.shape)
+    return HamiltonianPath(lambda u: path.generator(u) + coupling, path.sector_projector, path.sector_label)
+
+
+def switched_path(circuit):
+    """The FF path with an extra coupling while 1/4 <= u < 3/4: the pattern changes twice."""
+    path = ff_schedule_path(circuit)
+    a, b = clock_state_index(0, circuit.L), path.sector_projector.shape[0] - 1
+    extra = sp.csr_matrix(([0.3, 0.3], ([a, b], [b, a])), shape=path.sector_projector.shape)
+    return HamiltonianPath(lambda u: path.generator(u) + extra if 0.25 <= u < 0.75 else path.generator(u),
+                           path.sector_projector, path.sector_label)
+
+
+def imaginary_path():
+    """Purely imaginary couplings (0-2 and 1-3) over a diagonal that moves with u."""
+    skew = 0.7j * (np.eye(4, k=2) - np.eye(4, k=-2))
+    return HamiltonianPath(lambda u: sp.csr_matrix(np.diag([0.0, 1.0, 2.0, 3.0]) * (1.0 + u) + skew))
+
+
+PHASE = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+ROT_CNOT_ROT = QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9)))
+FF_CIRCUITS = [
+    ROT_CNOT_ROT,
+    QuantumCircuit(2, (custom((1,), PHASE), identity_gate(), cnot(1, 0), rot(0, 0.2))),
+    ROT_CNOT_ROT.padded(),
+    QuantumCircuit(3, (rot(0, 0.5), cnot(0, 1), rot(1, 0.9), cnot(1, 2), rot(2, 0.3))),
+]
+
+
+def oracle_case(name):
+    """(path, initial state, target, component searches per run) for one oracle comparison."""
+    if name.startswith("ff"):
+        circuit = FF_CIRCUITS[int(name[2:])]
+        return ff_schedule_path(circuit), ff_initial(circuit), history_state(circuit, 0.5), 1
+    if name == "stoquastic":
+        Ha, Hb = interp_endpoints()
+        return stoquastic_interpolation_path(Ha, Hb), np.kron([1.0, 0.0, 0.0, 0.0], MINUS), "ground", 1
+    if name == "duplicates":  # the 0-1 coupling is stored as two entries that add up
+        return HamiltonianPath(lambda u: sp.csr_matrix(
+            (np.array([0.2, 0.3, 0.5, u, 1.0]), np.array([1, 1, 0, 1, 2]), np.array([0, 2, 4, 5])), shape=(3, 3)
+        )), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1
+    if name == "switched":
+        return switched_path(ROT_CNOT_ROT), ff_initial(ROT_CNOT_ROT), history_state(ROT_CNOT_ROT, 0.5), 3
+    return imaginary_path(), np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.5), 1
+
+
+@pytest.mark.parametrize("name", ["ff0", "ff1", "ff2", "ff3", "stoquastic", "switched", "imaginary", "duplicates"])
+def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
+    path, initial, target, searches = oracle_case(name)
+    T, steps = 12.0, 64
+    want, rows = full_register_evolve(path, T, steps, initial, target)
+    calls = counting_component_searches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. csgraph casting complex values to real
+        trace = evolve(path, T, steps, initial, target=target)
+    assert len(calls) == searches
+    assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+    assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
+    assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+    if path.sector_projector is not None:
+        assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
+
+
+def test_blocks_are_the_pattern_components():
+    def shapes(path):
+        return sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.generator(0.3)))
+
+    # ROT.CNOT.ROT on 2 + 4 qubits: 21 components of sizes 1, 4, 6 and 16
+    assert shapes(ff_schedule_path(ROT_CNOT_ROT)) == [(1, 16), (2, 6), (6, 4), (12, 1)]
+    Ha, Hb = interp_endpoints()
+    assert shapes(stoquastic_interpolation_path(Ha, Hb)) == [(1, 8)]
+    assert shapes(imaginary_path()) == [(2, 2)]
+    # the ff path's u = 0 sample stores its zero hop entries, so it has the same blocks
+    path = ff_schedule_path(ROT_CNOT_ROT)
+    assert shapes(HamiltonianPath(lambda u: path.generator(0.0))) == shapes(path)
+
+
+def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
+    save_circuit(ROT_CNOT_ROT, str(tmp_path / "c.json"))
+    calls = counting_component_searches(monkeypatch)
+    argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", "32", "--steps", "64", "--shots", "256"]
+    assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_injected_legal_illegal_coupling_leaks_from_ff_path():
+    """Blocks come from the sample's stored entries, so a legal-illegal entry merges blocks and leaks."""
+    clean = evolve(ff_schedule_path(ROT_CNOT_ROT), 12.0, 64, ff_initial(ROT_CNOT_ROT), target=None)
+    assert sector_leakage(clean) <= 1e-12
+    noisy = evolve(legal_coupling(ROT_CNOT_ROT, 1e-3), 12.0, 64, ff_initial(ROT_CNOT_ROT), target=None)
+    assert sector_leakage(noisy) > 1e-12
 
 
 def test_norm_drift_stays_tiny():
@@ -291,6 +442,8 @@ def test_measure_rejects_layout_mismatch():
     circuit = identity_circuit(1, 2)
     with pytest.raises(ContractError, match="dimension"):
         measure_and_decode(np.zeros(8), circuit, shots=1)
+    with pytest.raises(ContractError, match="shots must be nonnegative"):
+        measure_and_decode(history_state(circuit, 0.5), circuit, shots=-1)
 
 
 def test_measure_deterministic_for_seed():

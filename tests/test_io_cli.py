@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,29 @@ def sat_with_n_max(n_max):
             "operators": [{"terms": [{"coeff": 0.5, "paulis": []}]}]}
 
 
+def boolean_numbers():
+    """(kind, data, context): JSON true/false in a field read as a number; each once loaded as 0 or 1."""
+    for b in (True, False):
+        term = {"coeff": 1.0, "paulis": [{"qubit": 0, "op": "Z"}]}
+        yield "hamiltonian", {"version": "1", "n": b, "terms": []}, ""
+        yield "hamiltonian", {"version": "1", "n": 1, "terms": [{**term, "coeff": b}]}, ".terms[0]"
+        yield ("hamiltonian", {"version": "1", "n": 1, "terms": [{**term, "paulis": [{"qubit": b, "op": "Z"}]}]},
+               ".terms[0].paulis[0]")
+        sat = {"version": "1", "n": 1, "epsilon": 0.1, "operators": [{"terms": [term]}]}
+        yield "sat instance", {**sat, "n": b}, ""
+        yield "sat instance", {**sat, "epsilon": b}, ""
+        yield "sat instance", {**sat, "operators": [{"terms": [{**term, "coeff": b}]}]}, ".operators[0].terms[0]"
+        yield ("sat instance", {**sat, "operators": [{"terms": [{**term, "paulis": [{"qubit": b, "op": "Z"}]}]}]},
+               ".operators[0].terms[0].paulis[0]")
+        gate = {"name": "ROT", "qubits": [0], "angle": 0.3}
+        yield "circuit", {"version": "1", "n": b, "gates": [gate]}, ""
+        yield "circuit", {"version": "1", "n": 1, "gates": [{**gate, "angle": b}]}, ".gates[0]"
+
+
+LOADERS = {"hamiltonian": hamiltonian_from_data, "sat instance": sat_instance_from_data, "circuit": circuit_from_data}
+LOADING_COMMANDS = {"hamiltonian": ["ham", "check"], "sat instance": ["sat", "decide"], "circuit": ["clock", "build"]}
+
+
 def test_circuit_file_rejects_bad_gates_with_context():
     with pytest.raises(ContractError, match=r"gates\[0\].*unitary"):
         circuit_from_data(
@@ -208,6 +232,9 @@ def test_circuit_file_rejects_bad_gates_with_context():
         with pytest.raises(ContractError, match=r"^sat instance: N_max must be a finite positive number"):
             sat_instance_from_data(sat_with_n_max(n_max))
     assert sat_instance_from_data(sat_with_n_max(2.5)).N_max == 2.5
+    for kind, data, ctx in boolean_numbers():
+        with pytest.raises(ContractError, match="^" + re.escape(f"{kind}{ctx}: bad ")):
+            LOADERS[kind](data)
 
 
 def test_sat_round_trip_pauli_form():
@@ -490,6 +517,7 @@ def test_cli_adiabatic_run(tmp_path):
     checks = {c["name"]: c["passed"] for c in rep["checks"]}
     assert checks["sector_leakage_small"]
     assert rep["results"]["legal_sector_leakage"] <= 1e-8
+    assert 0.0 <= rep["results"]["max_norm_drift"] <= 1e-12
 
 
 def test_cli_protocol_excited_exit_codes(tmp_path):
@@ -539,6 +567,23 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
         for action in ("decide", "reduce"):
             assert run_command(["sat", action, str(bad_gate), "--out", str(tmp_path / "r.json")]) == 2
             assert f"error: {bad_gate}: N_max must be" in capsys.readouterr().err
+    for kind, data, ctx in boolean_numbers():
+        bad_gate.write_text(json.dumps(data), encoding="utf-8")
+        assert run_command(LOADING_COMMANDS[kind] + [str(bad_gate), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {bad_gate}{ctx}: bad " in capsys.readouterr().err
+    circuit = tmp_path / "c.json"
+    save_circuit(QuantumCircuit(1, (rot(0, 0.5),)), str(circuit))
+    for flag, value in [("--T", "nan"), ("--T", "inf"), ("--T", "-3"), ("--T", "0"), ("--shots", "-1")]:
+        argv = ["adiabatic", "run", str(circuit), "--steps", "4", flag, value, "--out", str(tmp_path / "r.json")]
+        assert run_command(argv) == 2
+        assert "error: " in capsys.readouterr().err
+    hamiltonian = tmp_path / "h.json"
+    save_hamiltonian(random_instance(2, seed=1), str(hamiltonian))
+    for cap in ("-5", "0", str((1 << 14) + 1), "abc"):
+        assert run_command(["ham", "spectrum", str(hamiltonian), "--dense-cap", cap]) == 2
+        assert "--dense-cap" in capsys.readouterr().err
+    assert run_command(["ham", "spectrum", str(hamiltonian), "--dense-cap", str(1 << 14),
+                        "--out", str(tmp_path / "r.json")]) == 0
     # a file that is not UTF-8 (here a UTF-16 byte-order mark) reaches each loader
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))

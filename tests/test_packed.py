@@ -4,7 +4,9 @@ build_matrix, the three maps and pauli_decompose each assemble every
 term at once from the binary symplectic form. Each is compared here with
 a slow, independent reference built one term or one Pauli word at a
 time with np.kron, on Hamiltonians drawn with Y factors, locality up to
-three and strings that merge to zero.
+three and strings that merge to zero. The same draws check the penalty's
+spectral split and that every stochastize_ff term is psd and doubly
+stochastic.
 """
 
 import itertools
@@ -13,18 +15,20 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from stoqmap import (
     LocalHamiltonian,
     ResourceError,
+    add_ancilla_penalty,
     build_matrix,
     classify,
     pauli_decompose,
     random_instance,
     stochastize,
     stochastize_complex,
+    stochastize_ff,
     stoquastize,
 )
 
@@ -69,9 +73,9 @@ def signed(H):
 
 
 @st.composite
-def hamiltonians(draw, real=False):
+def hamiltonians(draw, real=False, n=None):
     """Up to 6 strings of weight <= 3 on n <= 4 qubits; some repeated with opposite sign."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4)) if n is None else n
     ops = "XZ" if real else "XYZ"
     factors = st.dictionaries(st.integers(0, n - 1), st.sampled_from(ops), max_size=min(n, 3))
     coeff = st.floats(0.05, 2.0).flatmap(lambda a: st.sampled_from([a, -a]))
@@ -155,6 +159,47 @@ def test_fast_decomposition_matches_kron_loop_and_inverts_build_matrix(H):
     back, orig = signed(got), {f: c for f, c in signed(H).items() if abs(c) > TOL}
     assert back.keys() == orig.keys()
     assert all(abs(back[f] - orig[f]) <= TOL for f in orig)
+
+
+@seed(20090528)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hamiltonians(real=True), st.floats(0.01, 0.33))
+def test_penalty_split_below_one_third(H, p):
+    """Lower 2^n eigenvalues of p * stochastize(H) + (1-p)(1+X)/2 are (p/N) spec(H), apart from the rest."""
+    assume(H.terms)
+    vals = np.linalg.eigvalsh(add_ancilla_penalty(stochastize(H), p).realize().toarray())
+    low, high = vals[: 1 << H.n], vals[1 << H.n:]
+    want = np.linalg.eigvalsh(kron_matrix(H)) * p / H.N
+    assert np.max(np.abs(low - want)) <= 1e-12
+    assert low.max() < high.min()
+
+
+@st.composite
+def psd_term_lists(draw):
+    """1 to 3 psd terms on one register: drawn Hamiltonians shifted up to (or past) their lowest eigenvalue."""
+    n = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        H = draw(hamiltonians(n=n, real=draw(st.booleans())))
+        shift = max(0.0, -np.linalg.eigvalsh(kron_matrix(H))[0]) + draw(st.sampled_from([0.0, 0.25]))
+        items = [(c, dict(f)) for f, c in signed(H).items()] + [(shift, {})]
+        psd = LocalHamiltonian.from_signed(n, [(c, f) for c, f in items if c != 0.0])
+        assume(psd.terms)
+        terms.append(psd)
+    return terms
+
+
+@seed(20090528)
+@settings(max_examples=60, deadline=None, database=None)
+@given(psd_term_lists(), st.floats(0.01, 0.33))
+def test_stochastize_ff_terms_are_psd_and_doubly_stochastic(terms, p):
+    for out in stochastize_ff(terms, p):
+        dense = out.toarray()
+        assert np.max(np.abs(dense - dense.conj().T)) <= TOL
+        assert np.linalg.eigvalsh(dense)[0] >= -1e-10
+        assert dense.real.min() >= 0.0 and not np.abs(dense.imag).any()
+        assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= TOL
+        assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= TOL
 
 
 @pytest.mark.parametrize("n, make", [(14, stoquastize), (14, stochastize),
