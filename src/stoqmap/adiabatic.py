@@ -151,6 +151,11 @@ def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.n
     return groups
 
 
+def _check_shape(H, psi: np.ndarray) -> None:
+    if H.shape != (psi.size, psi.size):
+        raise ContractError(f"sample has shape {H.shape}, the state has dimension {psi.size}")
+
+
 def evolve(
     path: HamiltonianPath,
     T: float,
@@ -202,6 +207,7 @@ def evolve(
         if pops is not None:
             pops[k] = float(np.real(np.vdot(psi, path.sector_projector @ psi)))
 
+    _check_shape(path.generator(0.0), psi)  # before the u = 0 target and population read it
     record(0, 0.0)
     blocks, pattern = [], (None, None)
     for k in range(steps):
@@ -209,8 +215,7 @@ def evolve(
         if not (sp.issparse(H) and H.format == "csr"):
             H = sp.csr_matrix(H)
         _check_dense_cap(H.shape[0], dense_cap)
-        if H.shape != (psi.size, psi.size):
-            raise ContractError(f"sample has shape {H.shape}, the state has dimension {psi.size}")
+        _check_shape(H, psi)
         if not H.has_canonical_format:  # duplicate entries add up, as they would densified
             H = H.copy()
             H.sum_duplicates()

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP, HERMITIAN_TOL, _is_hermitian
+from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _is_hermitian
 
 DEFAULT_TOL = 1e-10
 
@@ -91,6 +91,29 @@ def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int, tol: float = HERMITIAN_TOL
     return float(vals[0])
 
 
+def _diagonal_may_square_to_itself(A: sp.csr_matrix, tol: float, skew: float) -> bool:
+    """False only when A @ A - A certainly has a diagonal entry above tol; O(nnz), no product.
+
+    For A within skew = max|A - A^dagger| of Hermitian, (A^2)_ii differs
+    from sum_j |A_ij|^2 by at most skew sum_j |A_ij|. The test allows
+    that, and a generous bound on the rounding of both sums, before it
+    answers for the product. Row sums over A's stored entries cost far
+    less than sparse products on the small matrices classify mostly sees.
+    """
+    if not A.has_canonical_format:  # |a + b|^2 is not |a|^2 + |b|^2
+        A = A.copy()
+        A.sum_duplicates()
+    dim = A.shape[0]
+    rows = np.repeat(np.arange(dim), np.diff(A.indptr))
+    mag = np.abs(A.data)
+    square_diag = np.bincount(rows, mag * mag, minlength=dim)
+    row_l1 = np.bincount(rows, mag, minlength=dim)
+    diag = A.diagonal()
+    slack = skew * row_l1
+    rounding = 8 * (dim + 1) * np.finfo(float).eps * (square_diag + slack + np.abs(diag))
+    return bool(np.all(np.abs(square_diag - diag) <= tol + slack + rounding))
+
+
 def classify(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> MatrixClassFlags:
     """Evaluate all structural flags for a square matrix."""
     return _classify(_as_csr(M), tol, lambda A: _min_eigenvalue(A, dense_cap, tol))
@@ -109,7 +132,8 @@ def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
     im = data.imag if np.iscomplexobj(data) and A.nnz else np.zeros(0)
     real_entries = im.size == 0 or float(np.max(np.abs(im))) <= tol
 
-    hermitian = _max_abs(A - A.getH()) <= tol
+    skew = _max_abs(A - A.getH())
+    hermitian = skew <= tol
     symmetric = _max_abs(A - A.T) <= tol
     nonneg = real_entries and (re.size == 0 or float(re.min()) >= -tol)
 
@@ -135,7 +159,7 @@ def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
     projector = False
     psd = False
     if hermitian:
-        projector = _max_abs((A @ A) - A) <= tol
+        projector = _diagonal_may_square_to_itself(A, tol, skew) and _max_abs((A @ A) - A) <= tol
         psd = lowest(A) >= -tol
 
     return MatrixClassFlags(
@@ -163,7 +187,7 @@ def kernel_projector_complement(M, tol: float = DEFAULT_TOL, dense_cap: int = DE
     if A.shape[0] != A.shape[1]:
         raise ContractError("expected a square matrix")
     vals, vecs = _eigh(A, dense_cap, tol=tol)
-    if vals[0] < -max(tol, 1e-8):
+    if vals[0] < -max(tol, KERNEL_PSD_FLOOR):
         raise ContractError(f"matrix is not psd (lowest eigenvalue {vals[0]:.3e})")
     kernel = vecs[:, vals <= tol]
     P = kernel @ kernel.conj().T

@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import _min_eigenvalue
+from .classify import _max_abs, _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    _PHASE, DENSE_CAP, LocalHamiltonian, _phase_matrix, _sum_terms, _term_phases, build_matrix,
+    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _csr_entries, _phase_matrix, _sum_terms, _term_phases,
+    build_matrix,
 )
 from .spectra import eig_dense
 
@@ -95,9 +96,46 @@ class MappedHamiltonian:
         a = basis[sector].reshape(-1, 1)
         return sp.kron(sp.identity(1 << self.n, format="csr"), sp.csr_matrix(a), format="csr")
 
-    def sector_operator(self, sector: str) -> sp.csr_matrix:
-        V = self.sector_isometry(sector)
-        return sp.csr_matrix(V.getH() @ self.realize() @ V)
+    def _sector_entries(self, realized: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, w): stored entry t of `realized` adds w[s, t] at (i[t], j[t]) of sector s's block.
+
+        Entry (i m + a, j m + b) is weighted by conj(W[a, s]) W[b, s],
+        where column s of W is the ancilla vector of sector s (in
+        sector_labels order): block s is V_s^dagger A V_s, entry by entry.
+        """
+        m = 1 << self.ancilla_count
+        W = np.stack(list(self.sector_basis.values()), axis=1)
+        pair_weights = (W.conj()[:, None, :] * W[None, :, :]).reshape(m * m, m).T
+        rows, cols, vals = _csr_entries(realized)
+        return rows // m, cols // m, np.take(pair_weights, rows % m * m + cols % m, axis=1) * vals
+
+    def sector_blocks(self, realized: sp.csr_matrix) -> tuple[np.ndarray, float]:
+        """Every sector's block of `realized` as one dense (sectors, 2^n, 2^n) stack, and the
+        commutation residual max|A S - S A| with the ancilla cycle S (X, or F for two ancillas).
+
+        Both cost O(nnz); the whole register is never densified. S has a
+        distinct eigenvalue on each sector vector, so a residual within
+        tolerance proves the sectors invariant: the blocks then carry the
+        whole spectrum of `realized`.
+        """
+        m, d = 1 << self.ancilla_count, 1 << self.n
+        i, j, w = self._sector_entries(realized)
+        flat = (np.arange(m)[:, None] * d * d + i * d + j).ravel()
+        stack = np.bincount(flat, w.real.ravel(), minlength=m * d * d)
+        if np.iscomplexobj(w):
+            stack = stack + 1j * np.bincount(flat, w.imag.ravel(), minlength=m * d * d)
+        idx = np.arange(self.dim)
+        S = sp.csr_matrix((np.ones(self.dim), (idx - idx % m + (idx % m - 1) % m, idx)),
+                          shape=(self.dim, self.dim))
+        return stack.reshape(m, d, d), _max_abs(realized @ S - S @ realized)
+
+    def sector_operator(self, sector: str, realized: sp.csr_matrix | None = None) -> sp.csr_matrix:
+        """Sector `sector`'s block of `realized` (by default of realize()), read off its stored entries."""
+        labels = self.sector_labels
+        if sector not in labels:
+            raise ContractError(f"unknown sector {sector!r}; have {sorted(labels)}")
+        i, j, w = self._sector_entries(self.realize() if realized is None else realized)
+        return _sum_terms(1 << self.n, [(1.0, i, j, w[labels.index(sector)])])
 
 
 @dataclass(frozen=True)
@@ -246,7 +284,7 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
             raise ContractError("terms act on different register sizes")
         if not H.terms:
             raise ContractError("empty term has no normalization")
-        if _min_eigenvalue(build_matrix(H), DENSE_CAP) < -1e-9:
+        if _min_eigenvalue(build_matrix(H), DENSE_CAP) < -FF_PSD_FLOOR:
             raise ContractError("input term is not positive semidefinite")
     use_z4 = not all(H.has_real_entries() for H in terms)
     N = sum(H.N for H in terms)

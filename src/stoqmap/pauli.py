@@ -23,6 +23,12 @@ MAX_QUBITS = 14
 DENSE_CAP = 4096
 # Largest entry of A - A^dagger, relative to max(1, max|A|), that still counts as Hermitian.
 HERMITIAN_TOL = 1e-10
+# kernel_projector_complement accepts a lowest eigenvalue down to -max(tol, KERNEL_PSD_FLOOR).
+KERNEL_PSD_FLOOR = 1e-8
+# stochastize_ff refuses an input term whose lowest eigenvalue is below -FF_PSD_FLOOR.
+FF_PSD_FLOOR = 1e-9
+# Largest imaginary part of a Pauli coefficient pauli_decompose still reads as real.
+PAULI_IMAG_TOL = 1e-9
 
 PAULI_LABELS = ("X", "Y", "Z")
 
@@ -97,7 +103,9 @@ class PauliString:
 def _check_dim(dim: int) -> None:
     """Refuse a realization above the cap before anything of its size is allocated."""
     if dim > 1 << MAX_QUBITS:
-        raise ResourceError(f"dimension {dim} exceeds the {MAX_QUBITS}-qubit realization cap")
+        # named by its qubit count: 2^n in decimal can pass Python's int-to-str digit limit
+        qubits = (int(dim) - 1).bit_length()
+        raise ResourceError(f"{qubits} qubits exceed the {MAX_QUBITS}-qubit realization cap")
 
 
 def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
@@ -322,7 +330,7 @@ def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> Loc
     for _ in range(k):  # transform the leading qubit axis and move it to the back
         coeffs = np.tensordot(coeffs, _PAULI_DUAL, axes=(0, 1))
     coeffs = coeffs.ravel() / dim
-    if np.abs(coeffs.imag).max() > 1e-9:
+    if np.abs(coeffs.imag).max() > PAULI_IMAG_TOL:
         raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
     items = []
     for word in np.flatnonzero(np.abs(coeffs.real) > tol):

@@ -83,6 +83,11 @@ def test_evolve_rejects_bad_inputs():
             evolve(path, T, 10, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ContractError, match="dimension 3"):
         evolve(path, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=None)
+    # the u = 0 target and sector population read the state before the first step
+    guarded = HamiltonianPath(lambda u: H, sector_projector=sp.identity(4, format="csr"))
+    for target in ("ground", np.array([1.0, 0.0, 0.0, 0.0]), None):
+        with pytest.raises(ContractError, match="dimension 3"):
+            evolve(guarded, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=target)
 
 
 def test_evolve_checks_every_sample_before_diagonalizing():

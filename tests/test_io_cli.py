@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -683,3 +684,34 @@ def test_cli_is_thin_wrapper_over_library(tmp_path):
     problem = ExcitedEnergyProblem(H=H, c=2, a=0.0, b=0.5)
     assert abs(rep["results"]["lambda_c"] - problem.lambda_c()) <= 1e-12
     assert rep["results"]["verdict"] == problem.decide()
+
+
+def test_cli_oversized_register_names_its_qubit_count(tmp_path, capsys):
+    # 2^(n+a) for n = 10^6 has more decimal digits than Python will format
+    h = tmp_path / "huge.json"
+    terms = [{"coeff": 1.0, "paulis": [{"qubit": 0, "op": "X"}]}, {"coeff": 0.5, "paulis": []}]
+    h.write_text(json.dumps({"version": "1", "n": 1000000, "terms": terms}), encoding="utf-8")
+    for action, total in (("stoquastic", 1000001), ("stochastic", 1000001), ("complex", 1000002)):
+        assert run_command(["map", action, str(h), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {total} qubits exceed the 14-qubit realization cap" in err
+        assert "Traceback" not in err
+    assert run_command(["ham", "check", str(h), "--out", str(tmp_path / "r.json")]) == 2
+    assert "realization cap" in capsys.readouterr().err
+
+
+def test_cli_error_line_reports_the_best_residual(tmp_path, capsys, monkeypatch):
+    h = tmp_path / "h.json"
+    save_hamiltonian(random_instance(3, seed=2), str(h))
+    A = build_matrix(random_instance(3, seed=2))
+    vals, vecs = np.linalg.eigh(A.toarray())
+    part_vals, part_vecs = vals[:1] + 1e-3, vecs[:, :1]  # one eigenpair, slightly off
+    best = float(np.linalg.norm(A @ part_vecs[:, 0] - part_vals[0] * part_vecs[:, 0]))
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", part_vals, part_vecs)
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    argv = ["ham", "spectrum", str(h), "--dense-cap", "4", "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 2
+    assert f"eigsh failed to converge for k=2, which='lowest' (best residual {best:.3e})" in capsys.readouterr().err

@@ -7,8 +7,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stoqmap"
-SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "HERMITIAN_TOL", "MAX_QUBITS", "_as_csr", "_eigh", "_is_hermitian",
-          "_term_phases")
+SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR", "MAX_QUBITS",
+          "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_is_hermitian", "_term_phases")
 # Each dense LAPACK eigensolver may be named only inside its one gate (module.function).
 SOLVER_HOMES = {
     "eigh": "classify._eigh",
