@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _check_dense_cap, _eigh
+from .classify import _as_csr, _check_dense_cap, _eigh
 from .clock import ClockTerm, QuantumCircuit, _propagation_pieces, build_ff, clock_state_index
 from .errors import ContractError
 from .pauli import DENSE_CAP, _csr_entries
@@ -65,8 +65,7 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
     parts = [ff._sum(t for t in ff.terms if not t.label.startswith("prop_"))]
     parts += [ff._sum(ClockTerm("prop", p[0], p[i]) for p in props) for i in (1, 2, 3)]
-    pattern = sum(abs(M) for M in parts)
-    pattern.sort_indices()
+    pattern = _as_csr(sum(abs(M) for M in parts))
     rows, cols, _ = _csr_entries(pattern)
     slots = rows * ff.dim + cols  # increasing, since the pattern's indices are sorted
 
@@ -211,14 +210,9 @@ def evolve(
     record(0, 0.0)
     blocks, pattern = [], (None, None)
     for k in range(steps):
-        H = path.generator((k + 0.5) / steps)
-        if not (sp.issparse(H) and H.format == "csr"):
-            H = sp.csr_matrix(H)
+        H = _as_csr(path.generator((k + 0.5) / steps))  # duplicate entries add up, as they would densified
         _check_dense_cap(H.shape[0], dense_cap)
         _check_shape(H, psi)
-        if not H.has_canonical_format:  # duplicate entries add up, as they would densified
-            H = H.copy()
-            H.sum_duplicates()
         if not (np.array_equal(H.indptr, pattern[0]) and np.array_equal(H.indices, pattern[1])):
             blocks, pattern = _pattern_blocks(H), (H.indptr.copy(), H.indices.copy())
         for idx, entries, slots in blocks:

@@ -8,14 +8,14 @@ unit column sums), doubly stochastic, permutation, projector, psd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _is_hermitian
+from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian
 
 DEFAULT_TOL = 1e-10
 
@@ -34,24 +34,19 @@ class MatrixClassFlags:
     tol: float
 
     def as_dict(self) -> dict[str, bool | float]:
-        return {
-            "hermitian": self.hermitian,
-            "nonnegative_entries": self.nonnegative_entries,
-            "stoquastic": self.stoquastic,
-            "column_stochastic": self.column_stochastic,
-            "doubly_stochastic": self.doubly_stochastic,
-            "symmetric": self.symmetric,
-            "permutation": self.permutation,
-            "projector": self.projector,
-            "psd": self.psd,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def _as_csr(M) -> sp.csr_matrix:
-    if sp.issparse(M):
-        return M.tocsr()
-    return sp.csr_matrix(np.asarray(M))
+    """M as canonical CSR (sorted indices, duplicates summed), copied only when M is not one.
+
+    Flags and propagators read stored entries, so a duplicate must count as its sum.
+    """
+    A = M.tocsr() if sp.issparse(M) else sp.csr_matrix(np.asarray(M))
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 def _max_abs(A: sp.spmatrix) -> float:
@@ -99,10 +94,8 @@ def _diagonal_may_square_to_itself(A: sp.csr_matrix, tol: float, skew: float) ->
     that, and a generous bound on the rounding of both sums, before it
     answers for the product. Row sums over A's stored entries cost far
     less than sparse products on the small matrices classify mostly sees.
+    A must be canonical (see _as_csr): |a + b|^2 is not |a|^2 + |b|^2.
     """
-    if not A.has_canonical_format:  # |a + b|^2 is not |a|^2 + |b|^2
-        A = A.copy()
-        A.sum_duplicates()
     dim = A.shape[0]
     rows = np.repeat(np.arange(dim), np.diff(A.indptr))
     mag = np.abs(A.data)
@@ -116,32 +109,29 @@ def _diagonal_may_square_to_itself(A: sp.csr_matrix, tol: float, skew: float) ->
 
 def classify(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> MatrixClassFlags:
     """Evaluate all structural flags for a square matrix."""
-    return _classify(_as_csr(M), tol, lambda A: _min_eigenvalue(A, dense_cap, tol))
+    return _classify(_as_csr(M), tol, dense_cap)
 
 
-def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
-    """classify(), taking the lowest eigenvalue of a Hermitian A from lowest(A).
+def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None = None) -> MatrixClassFlags:
+    """classify() of a canonical CSR A, every flag read from its stored entries.
 
-    Callers that already hold the spectrum pass it in here, so the psd
-    flag costs no second diagonalization.
+    A caller that already holds the lowest eigenvalue of a Hermitian A
+    passes it as lowest, so the psd flag costs no second diagonalization.
     """
     if A.shape[0] != A.shape[1]:
         raise ContractError("classify expects a square matrix")
-    data = A.data
-    re = data.real if A.nnz else np.zeros(0)
-    im = data.imag if np.iscomplexobj(data) and A.nnz else np.zeros(0)
-    real_entries = im.size == 0 or float(np.max(np.abs(im))) <= tol
+    rows, cols, data = _csr_entries(A)
+    complex_entries = np.iscomplexobj(data)
+    real_entries = not complex_entries or data.size == 0 or float(np.max(np.abs(data.imag))) <= tol
 
     skew = _max_abs(A - A.getH())
     hermitian = skew <= tol
-    symmetric = _max_abs(A - A.T) <= tol
-    nonneg = real_entries and (re.size == 0 or float(re.min()) >= -tol)
+    symmetric = (_max_abs(A - A.T) if complex_entries else skew) <= tol  # A.T is A^dagger for a real A
+    nonneg = real_entries and (data.size == 0 or float(data.real.min()) >= -tol)
 
-    offdiag = A - sp.diags(A.diagonal())
-    off_data = offdiag.data
-    off_ok = off_data.size == 0 or (
-        float(off_data.real.max()) <= tol
-        and (not np.iscomplexobj(off_data) or float(np.max(np.abs(off_data.imag))) <= tol)
+    off = data[rows != cols]
+    off_ok = off.size == 0 or (
+        float(off.real.max()) <= tol and (not complex_entries or float(np.max(np.abs(off.imag))) <= tol)
     )
     stoquastic = hermitian and off_ok
 
@@ -149,18 +139,12 @@ def _classify(A: sp.csr_matrix, tol: float, lowest) -> MatrixClassFlags:
     row_sums = np.asarray(A.sum(axis=1)).ravel()
     column_stochastic = nonneg and bool(np.max(np.abs(col_sums - 1.0)) <= tol)
     doubly_stochastic = column_stochastic and bool(np.max(np.abs(row_sums - 1.0)) <= tol)
+    permutation = doubly_stochastic and bool(np.all((np.abs(data) <= tol) | (np.abs(data - 1.0) <= tol)))
 
-    permutation = False
-    if doubly_stochastic:
-        near0 = np.abs(data) <= tol
-        near1 = np.abs(data - 1.0) <= tol
-        permutation = bool(np.all(near0 | near1))
-
-    projector = False
-    psd = False
-    if hermitian:
-        projector = _diagonal_may_square_to_itself(A, tol, skew) and _max_abs((A @ A) - A) <= tol
-        psd = lowest(A) >= -tol
+    projector = hermitian and _diagonal_may_square_to_itself(A, tol, skew) and _max_abs(A @ A - A) <= tol
+    if hermitian and lowest is None:
+        lowest = _min_eigenvalue(A, dense_cap, tol)
+    psd = hermitian and float(lowest) >= -tol
 
     return MatrixClassFlags(
         hermitian=hermitian,

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import io as fmt
 from .adiabatic import ff_schedule_path, evolve, measure_and_decode, sector_leakage
-from .classify import _classify, _eigh, _max_abs, classify
+from .classify import _as_csr, _classify, _eigh, _max_abs, classify
 from .clock import (
     block_matrix,
     build_ff,
@@ -45,11 +45,15 @@ def _dense_cap(text: str) -> int:
     return cap
 
 
+def _out_flag(parser: argparse.ArgumentParser):
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--dense-cap", type=_dense_cap, default=DENSE_CAP)
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    _out_flag(parser)
 
 
 @functools.cache  # built once per process: parsing never changes the parser
@@ -88,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lmin", type=int, required=True)
     p.add_argument("--Lmax", type=int, required=True)
     p.add_argument("--s-samples", type=int, default=3, dest="s_samples")
-    _common_flags(p)
+    _out_flag(p)
 
     ad = sub.add_parser("adiabatic", help="schedule a clock Hamiltonian and sample the result")
     ad_sub = ad.add_subparsers(dest="action", required=True)
@@ -113,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sat_sub = sat.add_subparsers(dest="action", required=True)
     p = sat_sub.add_parser("reduce")
     p.add_argument("instance")
-    _common_flags(p)
+    _out_flag(p)
     p = sat_sub.add_parser("decide")
     p.add_argument("instance")
     _common_flags(p)
@@ -170,7 +174,7 @@ def _map_flags_and_spectrum(mapped, realized, tol: float, dense_cap: int):
         blocks, residual = mapped.sector_blocks(realized)
         if residual <= tol:
             vals = np.sort(_eigh(blocks, dense_cap, vectors=False), axis=None)
-            return _classify(realized, tol, lambda _: float(vals[0])), vals, blocks
+            return _classify(realized, tol, dense_cap, float(vals[0])), vals, blocks
     flags, spec = _flags_and_spectrum(realized, tol, dense_cap, compute_vectors=False)
     return flags, None if spec is None else spec.eigenvalues, None
 
@@ -191,7 +195,7 @@ def _cmd_map(args, argv) -> int:
         if p:
             mapped = add_penalty_complex(mapped, p)
         sector = "v1"
-    realized = mapped.realize()
+    realized = _as_csr(mapped.realize())  # already canonical: only checked
     flags, vals, blocks = _map_flags_and_spectrum(mapped, realized, args.tol, args.dense_cap)
     flags = flags.as_dict()
     checks = [_check("hermitian", flags["hermitian"])]
@@ -288,16 +292,16 @@ def _cmd_clock_scan(args, argv) -> int:
 
 def _cmd_adiabatic(args, argv) -> int:
     circuit = fmt.load_circuit(args.circuit)
-    if args.padded:
-        circuit = circuit.padded()
-    path = ff_schedule_path(circuit)
+    evolved = circuit.padded() if args.padded else circuit
+    path = ff_schedule_path(evolved)
     initial = np.zeros(path.sector_projector.shape[0])
-    initial[clock_state_index(0, circuit.L)] = 1.0
-    target = history_state(circuit, 0.5)
+    initial[clock_state_index(0, evolved.L)] = 1.0
+    target = history_state(evolved, 0.5)
     trace = evolve(path, T=args.T, steps=args.steps, initial=initial, target=target,
                    dense_cap=args.dense_cap)
+    # decoded against the loaded circuit: padded success is any clock time >= its depth
     measurement = measure_and_decode(trace.final_state, circuit, shots=args.shots,
-                                     seed=args.seed, padded=False)
+                                     seed=args.seed, padded=args.padded)
     leakage = sector_leakage(trace)
     tv = 0.0
     support = set(measurement.decoded_distribution_exact) | set(measurement.decoded_counts)
@@ -308,7 +312,7 @@ def _cmd_adiabatic(args, argv) -> int:
     tv *= 0.5
     results = {
         "n": circuit.n,
-        "L": circuit.L,
+        "L": evolved.L,
         "T": args.T,
         "steps": args.steps,
         "shots": args.shots,

@@ -141,9 +141,6 @@ class QuantumCircuit:
         pad = self.L if extra is None else int(extra)
         return QuantumCircuit(self.n, self.gates + tuple(identity_gate() for _ in range(pad)))
 
-    def is_real(self) -> bool:
-        return all(g.is_real() for g in self.gates)
-
 
 def output_distribution(circuit: QuantumCircuit) -> dict[str, float]:
     """Exact computational-basis distribution of the circuit output."""
@@ -183,12 +180,6 @@ class FFHamiltonian:
     @property
     def dim(self) -> int:
         return 1 << self.total_qubits
-
-    def clock_qubit(self, j: int) -> int:
-        """Global index of clock qubit c(j), j = 1..L+1."""
-        if not (1 <= j <= self.L + 1):
-            raise ContractError(f"clock index {j} out of range")
-        return self.n + j - 1
 
     def realize_term(self, i: int) -> sp.csr_matrix:
         return self.terms[i].realize(self.total_qubits)

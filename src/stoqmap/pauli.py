@@ -258,10 +258,8 @@ def _phase_matrix(H: LocalHamiltonian, table: np.ndarray) -> sp.csr_matrix:
     return _sum_terms(1 << H.n, [(alpha[:, None], rows, np.arange(1 << H.n, dtype=np.int32), table[k])])
 
 
-def build_matrix(H: LocalHamiltonian, max_qubits: int = MAX_QUBITS) -> sp.csr_matrix:
+def build_matrix(H: LocalHamiltonian) -> sp.csr_matrix:
     """Realize a LocalHamiltonian as a sparse 2^n x 2^n matrix (real when every term is)."""
-    if H.n > max_qubits:
-        raise ResourceError(f"n={H.n} exceeds the {max_qubits}-qubit realization cap")
     return _phase_matrix(H, _PHASE.real if H.has_real_entries() else _PHASE)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _min_eigenvalue, classify
+from .classify import MatrixClassFlags, _as_csr, _classify, _eigh
 from .errors import ContractError, ConvergenceError, ResourceError
 from .pauli import DENSE_CAP, _is_hermitian
 
@@ -27,18 +27,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None
     residual_norms: np.ndarray | None
     method: str
-
-    def multiplets(self, tol: float = DEGENERACY_TOL) -> list[tuple[float, int]]:
-        """Group eigenvalues into (value, multiplicity) clusters."""
-        out: list[tuple[float, int]] = []
-        for v in np.atleast_1d(self.eigenvalues):
-            v = float(np.real(v))
-            if out and abs(v - out[-1][0]) <= tol:
-                prev, count = out[-1]
-                out[-1] = ((prev * count + v) / (count + 1), count + 1)
-            else:
-                out.append((v, 1))
-        return out
 
 
 @dataclass
@@ -129,14 +117,13 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
 
 def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
                         compute_vectors: bool = True) -> tuple[MatrixClassFlags, Spectrum | None]:
-    """classify(A) and, under the dense cap, its full spectrum from one eigensolve."""
+    """classify(A) of a canonical CSR A and, under the dense cap, its full spectrum from one eigensolve."""
     if A.shape[0] > dense_cap or A.shape[0] != A.shape[1]:
-        return classify(A, tol=tol, dense_cap=dense_cap), None
+        return _classify(A, tol, dense_cap), None
     spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors)
     # eig_dense's Hermitian branch already found the lowest eigenvalue the psd flag needs
-    solved_hermitian = spec.method == "dense"
-    lowest = lambda A: float(spec.eigenvalues[0]) if solved_hermitian else _min_eigenvalue(A, dense_cap, tol)
-    return _classify(A, tol, lowest), spec
+    lowest = float(spec.eigenvalues[0]) if spec.method == "dense" else None
+    return _classify(A, tol, dense_cap, lowest), spec
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
@@ -158,7 +145,7 @@ def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int
     else:
         lo = eig_extremal(A, k=2, which="lowest", tol=tol, seed=seed)
         hi = eig_extremal(A, k=2, which="highest", tol=tol, seed=seed)
-        flags = _classify(A, tol, lambda _: float(lo.eigenvalues[0]))
+        flags = _classify(A, tol, dense_cap, float(lo.eigenvalues[0]))
         ground = float(lo.eigenvalues[0])
         gap = float(lo.eigenvalues[1] - lo.eigenvalues[0])
         top = float(hi.eigenvalues[-1])

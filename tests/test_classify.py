@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from stoqmap import (
     ContractError,
@@ -117,3 +119,124 @@ def test_dense_cap_enforced():
     M = sp.identity(16, format="csr")
     with pytest.raises(ResourceError):
         kernel_projector_complement(M, dense_cap=8)
+
+
+# ------------------------------------------------- stored entries against a dense reference
+
+TOL = 1e-10
+# Drawn entries are quarters, and perturbations lie a decade off tol on either side, so no
+# flag's answer sits within rounding of its threshold.
+QUARTERS = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+PERTURBATIONS = (0.0, 0.1 * TOL, 10 * TOL, 1e-4)
+
+
+def dense_flags(D: np.ndarray, tol: float = TOL) -> dict:
+    """Every flag of classify, entry by entry over the dense matrix."""
+    d = D.shape[0]
+    off = ~np.eye(d, dtype=bool)
+    hermitian = np.max(np.abs(D - D.conj().T)) <= tol
+    nonneg = np.all(np.abs(D.imag) <= tol) and np.all(D.real >= -tol)
+    column_stochastic = nonneg and np.all(np.abs(D.sum(axis=0) - 1.0) <= tol)
+    doubly_stochastic = column_stochastic and np.all(np.abs(D.sum(axis=1) - 1.0) <= tol)
+    return {
+        "hermitian": hermitian,
+        "nonnegative_entries": nonneg,
+        "stoquastic": hermitian and np.all(D.real[off] <= tol) and np.all(np.abs(D.imag[off]) <= tol),
+        "column_stochastic": column_stochastic,
+        "doubly_stochastic": doubly_stochastic,
+        "symmetric": np.max(np.abs(D - D.T)) <= tol,
+        "permutation": doubly_stochastic and np.all((np.abs(D) <= tol) | (np.abs(D - 1.0) <= tol)),
+        "projector": hermitian and np.max(np.abs(D @ D - D)) <= tol,
+        "psd": hermitian and np.linalg.eigvalsh(D)[0] >= -tol,
+    }
+
+
+@st.composite
+def quarter_matrices(draw, d, complex_entries):
+    def part():
+        return np.reshape(draw(st.lists(st.sampled_from(QUARTERS), min_size=d * d, max_size=d * d)), (d, d))
+    return part() + 1j * part() if complex_entries else part()
+
+
+@st.composite
+def target_matrices(draw):
+    """A drawn matrix of one class (or none), plus a drawn perturbation of drawn size."""
+    d = draw(st.integers(1, 5))
+    complex_entries = draw(st.booleans())
+    G = draw(quarter_matrices(d, complex_entries))
+    perm = np.eye(d)[draw(st.permutations(range(d)))]
+    kind = draw(st.sampled_from(["generic", "hermitian", "stoquastic", "stochastic", "doubly_stochastic",
+                                 "permutation", "projector"]))
+    if kind == "generic":
+        D = G
+    elif kind == "hermitian":
+        D = (G + G.conj().T) / 2
+    elif kind == "stoquastic":
+        S = np.abs(G + G.conj().T) / 2
+        D = np.diag(draw(st.lists(st.sampled_from(QUARTERS), min_size=d, max_size=d))) - S * (1 - np.eye(d))
+    elif kind == "stochastic":
+        W = np.abs(G) + 0.25
+        D = W / W.sum(axis=0)
+    elif kind == "doubly_stochastic":
+        D = 0.25 * perm + 0.75 * np.eye(d)[draw(st.permutations(range(d)))]
+    elif kind == "permutation":
+        D = perm
+    else:
+        Q = np.linalg.qr(G + 2.0 * np.eye(d))[0][:, : draw(st.integers(0, d))]
+        D = Q @ Q.conj().T
+    noise = draw(quarter_matrices(d, complex_entries))
+    if draw(st.booleans()):
+        noise = (noise - noise.conj().T) / 2  # keeps a Hermitian D Hermitian only up to its size
+    return D + draw(st.sampled_from(PERTURBATIONS)) * noise
+
+
+@st.composite
+def scrambled_csr(draw):
+    """A non-canonical CSR matrix: some entries stored as two duplicates, explicit zeros,
+    and unsorted column indices within each row."""
+    D = draw(target_matrices())
+    d = D.shape[0]
+    indptr, indices, data = [0], [], []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            v = D[i, j]
+            how = draw(st.sampled_from(["whole", "split", "zero"] if v != 0 else ["absent", "split", "zero"]))
+            if how == "split":
+                a = draw(st.sampled_from(QUARTERS))
+                row += [(j, a), (j, v - a)]
+            elif how == "zero":
+                row += [(j, 0.0 * v), (j, v)]
+            elif how == "whole":
+                row.append((j, v))
+        row = [row[k] for k in draw(st.permutations(range(len(row))))]
+        indices += [j for j, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=D.dtype), np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=(d, d))
+
+
+@seed(20090533)
+@settings(max_examples=300, deadline=None, database=None)
+@given(scrambled_csr())
+def test_flags_match_a_dense_entrywise_reference(M):
+    stored = (M.data.copy(), M.indices.copy(), M.indptr.copy())
+    flags = classify(M, tol=TOL).as_dict()
+    assert flags.pop("tol") == TOL
+    assert flags == {name: bool(value) for name, value in dense_flags(M.toarray()).items()}
+    assert all(np.array_equal(a, b) for a, b in zip(stored, (M.data, M.indices, M.indptr)))  # input untouched
+
+
+def test_duplicates_summing_to_one_keep_the_identity_a_permutation():
+    # the identity with (0, 0) stored as 0.5 + 0.5
+    M = sp.csr_matrix((np.array([0.5, 0.5, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+    assert classify(M).permutation
+    assert classify(M) == classify(np.eye(2))
+
+
+def test_duplicates_with_a_negative_part_keep_a_matrix_nonnegative():
+    # the identity with (0, 0) stored as -0.5 + 1.5
+    M = sp.csr_matrix((np.array([-0.5, 1.5, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+    assert classify(M).nonnegative_entries
+    assert classify(M) == classify(np.eye(2))

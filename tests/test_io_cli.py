@@ -521,6 +521,29 @@ def test_cli_adiabatic_run(tmp_path):
     assert 0.0 <= rep["results"]["max_norm_drift"] <= 1e-12
 
 
+def test_cli_adiabatic_padded_raises_the_success_probability(tmp_path):
+    # padded, success is any clock time >= L: (L+1)/(2L+1) = 3/5 at the history state, against 1/(L+1)
+    path = tmp_path / "c.json"
+    save_circuit(QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2))), str(path))
+    argv = ["adiabatic", "run", str(path), "--T", "40", "--steps", "200", "--shots", "256"]
+    code, plain = run_report(argv, tmp_path / "plain.json")
+    assert code == 0 and plain["results"]["L"] == 2
+    code, padded = run_report(argv + ["--padded"], tmp_path / "padded.json")
+    assert code == 0 and padded["results"]["L"] == 4
+    assert padded["results"]["clock_success_probability"] > plain["results"]["clock_success_probability"]
+    assert padded["results"]["clock_success_probability"] > 0.5
+
+
+def test_cli_commands_refuse_the_flags_they_would_ignore(tmp_path):
+    sat = tmp_path / "sat.json"
+    save_sat_instance(SatInstance.from_paulis([proj(-1)], epsilon=1.0), str(sat))
+    out = ["--out", str(tmp_path / "r.out")]
+    for argv in (["clock", "gap-scan", "--Lmin", "1", "--Lmax", "2"], ["sat", "reduce", str(sat)]):
+        assert run_command(argv + out) == 0
+        for flag in (["--seed", "1"], ["--tol", "1e-6"], ["--dense-cap", "8"]):
+            assert run_command(argv + flag + out) == 2
+
+
 def test_cli_protocol_excited_exit_codes(tmp_path):
     path = tmp_path / "h.json"
     save_hamiltonian(build_Hc(2, 3), str(path))

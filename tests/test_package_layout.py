@@ -1,5 +1,6 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
-every dense eigensolve goes through one function, and so does every JSON write.
+every dense eigensolve goes through one function, and so does every JSON write
+and every canonicalization of a sparse matrix.
 Pauli strings are realized and decomposed from the packed form, never one
 Kronecker product at a time."""
 
@@ -18,6 +19,8 @@ SOLVER_HOMES = {
 }
 # json.dump and json.dumps may be named only inside the one writer.
 WRITER_HOMES = {"dump": "io.report_to_json", "dumps": "io.report_to_json"}
+# Duplicate sparse entries are summed only where every matrix is brought into canonical form.
+CANONICAL_HOMES = {"sum_duplicates": "classify._as_csr"}
 # Per-term or per-word loops the packed form replaced: (module, attribute) never named in these files.
 PACKED_FILES = ("pauli.py", "mapping.py")
 BANNED = {("np", "kron"), ("numpy", "kron"), ("itertools", "product")}
@@ -81,6 +84,10 @@ def test_dense_eigensolvers_called_only_inside_their_gate():
 
 def test_json_written_only_by_the_one_writer():
     _check_homes(WRITER_HOMES)
+
+
+def test_sparse_matrices_canonicalized_only_by_as_csr():
+    _check_homes(CANONICAL_HOMES)
 
 
 def test_pauli_and_mapping_use_no_kron_or_product_loops():

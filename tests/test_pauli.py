@@ -161,9 +161,9 @@ def test_random_instance_zero_scale_is_empty():
 
 
 def test_resource_cap_on_build():
-    H = random_instance(3, seed=0)
-    with pytest.raises(ResourceError):
-        build_matrix(H, max_qubits=2)
+    H = random_instance(15, locality=1)  # one qubit above MAX_QUBITS
+    with pytest.raises(ResourceError, match="15 qubits exceed the 14-qubit realization cap"):
+        build_matrix(H)
 
 
 # ------------------------------------------------- term-sum kernel callers
