@@ -135,10 +135,12 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
     )
     stoquastic = hermitian and off_ok
 
-    col_sums = np.asarray(A.sum(axis=0)).ravel()
-    row_sums = np.asarray(A.sum(axis=1)).ravel()
-    column_stochastic = nonneg and bool(np.max(np.abs(col_sums - 1.0)) <= tol)
-    doubly_stochastic = column_stochastic and bool(np.max(np.abs(row_sums - 1.0)) <= tol)
+    def sums(index):  # column (index=cols) or row (index=rows) sums, read only where they can matter
+        out = np.bincount(index, data.real, minlength=A.shape[0])
+        return out + 1j * np.bincount(index, data.imag, minlength=A.shape[0]) if complex_entries else out
+
+    column_stochastic = nonneg and bool(np.max(np.abs(sums(cols) - 1.0)) <= tol)
+    doubly_stochastic = column_stochastic and bool(np.max(np.abs(sums(rows) - 1.0)) <= tol)
     permutation = doubly_stochastic and bool(np.all((np.abs(data) <= tol) | (np.abs(data - 1.0) <= tol)))
 
     projector = hermitian and _diagonal_may_square_to_itself(A, tol, skew) and _max_abs(A @ A - A) <= tol

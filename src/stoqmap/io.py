@@ -72,14 +72,8 @@ def json_to_matrix(rows, where: str) -> np.ndarray:
 # ---------------------------------------------------------------- hamiltonian
 
 def hamiltonian_to_data(H: LocalHamiltonian) -> dict:
-    terms = []
-    for alpha, string in H.terms:
-        terms.append(
-            {
-                "coeff": float(alpha * string.sign),
-                "paulis": [{"qubit": q, "op": op} for q, op in string.factors],
-            }
-        )
+    terms = [{"coeff": coeff, "paulis": [{"qubit": q, "op": op} for q, op in factors]}
+             for coeff, factors in H.signed_items()]
     return {"version": FORMAT_VERSION, "n": H.n, "terms": terms}
 
 
@@ -107,8 +101,7 @@ def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamilt
             _require(op in ("X", "Y", "Z"), pctx, f"bad op {op!r}")
             _require(q not in factors, pctx, f"duplicate qubit {q}")
             factors[q] = op
-        if coeff != 0.0:
-            items.append((float(coeff), factors))
+        items.append((coeff, factors))
     return LocalHamiltonian.from_signed(n, items)
 
 

@@ -163,11 +163,12 @@ def _cycle_rows(H: LocalHamiltonian, m: int, shift: int = 0) -> tuple[np.ndarray
     step = (k m/4 + shift) mod m. For m = 2 that is I or X on one
     ancilla qubit; for m = 4 it is F^k.
     """
-    dim = (1 << H.n) * m
     if m == 2 and not H.has_real_entries():
-        string = next(s for _, s in H.terms if not s.has_real_entries())
+        coeff, factors = H.signed_items()[np.flatnonzero(np.bitwise_count(H.x & H.z) & 1)[0]]
+        string = ("+" if coeff > 0 else "-") + (" ".join(f"{op}{q}" for q, op in factors) or "I")
         raise ContractError(f"term {string} has complex entries; use stochastize_complex")
-    alpha, rows, k = _term_phases(H, dim)
+    alpha, rows, k = _term_phases(H, m.bit_length() - 1)
+    dim = (1 << H.n) * m
     step = (k * m // 4 + shift) % m
     a = np.arange(m, dtype=np.int32)
     return alpha, (rows[:, :, None] * m + (a - step[:, :, None]) % m).reshape(len(alpha), dim)
@@ -206,7 +207,7 @@ def stochastize(H: LocalHamiltonian) -> MappedHamiltonian:
     S- (x) X; the convex combination with weights alpha_k / N is the
     realized matrix, equal to (H (x) |-><-| + Hbar (x) |+><+|) / N.
     """
-    if not H.terms:
+    if not H.num_terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
     alpha, rows = _cycle_rows(H, 2)
@@ -240,7 +241,7 @@ def stochastize_complex(H: LocalHamiltonian) -> tuple[MappedHamiltonian, SectorD
     the conjugate; the returned decomposition gives all four sector
     operators without the 1/N factor.
     """
-    if not H.terms:
+    if not H.num_terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
     alpha, rows = _cycle_rows(H, 4)
@@ -282,7 +283,7 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
     for H in terms:
         if H.n != n:
             raise ContractError("terms act on different register sizes")
-        if not H.terms:
+        if not H.num_terms:
             raise ContractError("empty term has no normalization")
         if _min_eigenvalue(build_matrix(H), DENSE_CAP) < -FF_PSD_FLOOR:
             raise ContractError("input term is not positive semidefinite")

@@ -3,12 +3,12 @@
 Conventions used throughout the package: qubit 0 is the most
 significant bit of a computational basis index, and ancilla qubits are
 appended after the work qubits (so they occupy the least significant
-bits).
+bits). A LocalHamiltonian's masks are the exception: bit q is qubit q,
+and _term_phases flips them to basis-index order once, at realization.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -51,60 +51,10 @@ def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
     return abs(A - adjoint).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Signed tensor product of single-qubit Pauli operators.
-
-    `factors` maps qubit index to one of "X", "Y", "Z"; omitted qubits
-    carry the identity. Only the sign lives here; term magnitudes live
-    on the enclosing LocalHamiltonian.
-    """
-
-    factors: tuple[tuple[int, str], ...]
-    sign: int = 1
-
-    def __post_init__(self):
-        raw = self.factors
-        if isinstance(raw, Mapping):
-            pairs = list(raw.items())
-        else:
-            pairs = list(raw)
-        seen = {}
-        for q, op in pairs:
-            if op not in PAULI_LABELS:
-                raise ContractError(f"unknown Pauli label {op!r}")
-            if not isinstance(q, (int, np.integer)) or q < 0:
-                raise ContractError(f"bad qubit index {q!r}")
-            if q in seen:
-                raise ContractError(f"duplicate qubit {q} in Pauli string")
-            seen[int(q)] = op
-        if self.sign not in (1, -1):
-            raise ContractError(f"sign must be +1 or -1, got {self.sign!r}")
-        object.__setattr__(self, "factors", tuple(sorted(seen.items())))
-
-    @property
-    def weight(self) -> int:
-        return len(self.factors)
-
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
-    def y_count(self) -> int:
-        return sum(1 for _, op in self.factors if op == "Y")
-
-    def has_real_entries(self) -> bool:
-        return self.y_count() % 2 == 0
-
-    def __str__(self) -> str:
-        body = " ".join(f"{op}{q}" for q, op in self.factors) or "I"
-        return ("+" if self.sign > 0 else "-") + body
-
-
-def _check_dim(dim: int) -> None:
-    """Refuse a realization above the cap before anything of its size is allocated."""
-    if dim > 1 << MAX_QUBITS:
+def _check_qubits(qubits: int) -> None:
+    """Refuse a realization of that many qubits before anything of its size is allocated."""
+    if qubits > MAX_QUBITS:
         # named by its qubit count: 2^n in decimal can pass Python's int-to-str digit limit
-        qubits = (int(dim) - 1).bit_length()
         raise ResourceError(f"{qubits} qubits exceed the {MAX_QUBITS}-qubit realization cap")
 
 
@@ -116,7 +66,7 @@ def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
     duplicate positions are summed and entries that cancel to zero are
     dropped. The result is real unless some piece is complex.
     """
-    _check_dim(dim)
+    _check_qubits((int(dim) - 1).bit_length())
     pieces = [np.broadcast_arrays(r, c, w * v) for w, r, c, v in pieces]
     if not pieces:
         return sp.csr_matrix((dim, dim))
@@ -133,128 +83,133 @@ def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, A.indices, A.data
 
 
-def realize_string(string: PauliString, n: int) -> sp.csr_matrix:
-    """Sparse matrix of sign * (tensor of factors) on n qubits.
+def _factor_masks(factors: Mapping[int, str] | Iterable[tuple[int, str]]) -> tuple[int, int]:
+    """(x, z) masks of one Pauli string given as {qubit: label} or (qubit, label) pairs.
 
-    Entries are +-1 for an even number of Y factors and +-i otherwise;
-    either way there is exactly one entry per row and column.
+    Bit q of x (z) is set when qubit q carries X or Y (Z or Y). Each
+    factor needs a known label and a distinct nonnegative integer qubit,
+    which must fit a 63-bit mask.
     """
-    return build_matrix(LocalHamiltonian(n, ((1.0, string),)))
+    x = z = 0
+    for q, op in factors.items() if isinstance(factors, Mapping) else factors:
+        if op not in PAULI_LABELS:
+            raise ContractError(f"unknown Pauli label {op!r}")
+        if type(q) is bool or not isinstance(q, (int, np.integer)) or q < 0:
+            raise ContractError(f"bad qubit index {q!r}")
+        if q >= 63:
+            raise ResourceError(f"qubit {q} lies beyond the {MAX_QUBITS}-qubit realization cap")
+        bit = 1 << int(q)
+        if (x | z) & bit:
+            raise ContractError(f"duplicate qubit {q} in Pauli string")
+        x |= bit if op != "Z" else 0
+        z |= bit if op != "X" else 0
+    return x, z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalHamiltonian:
-    """Sum of positively weighted signed Pauli strings on n qubits.
+    """Sum of real-weighted Pauli strings on n qubits, in binary symplectic form.
 
-    Duplicate strings are merged at construction; a merge to zero drops
-    the term. The realized matrix is always Hermitian because every
-    coefficient is real.
+    Term t is coeff[t] times the string with X or Y on the qubits set in
+    x[t] and Z or Y on those set in z[t] (bit q is qubit q), so its Y
+    count is popcount(x & z) (Aaronson-Gottesman, quant-ph/0406196).
+    Duplicate strings are merged at construction in first-occurrence
+    order; a merge to zero drops the term. The realized matrix is always
+    Hermitian because every coefficient is real.
     """
 
     n: int
-    terms: tuple[tuple[float, PauliString], ...] = ()
+    x: np.ndarray
+    z: np.ndarray
+    coeff: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ContractError(f"need at least one qubit, got n={self.n!r}")
-        merged: dict[tuple, float] = {}
-        for alpha, string in self.terms:
-            alpha = float(alpha)
-            if not np.isfinite(alpha):
-                raise ContractError("non-finite coefficient")
-            if alpha <= 0:
-                raise ContractError(
-                    f"coefficients must be positive (got {alpha}); put the sign on the PauliString"
-                )
-            for q in string.qubits():
-                if q >= self.n:
-                    raise ContractError(f"qubit {q} out of range for n={self.n}")
-            merged[string.factors] = merged.get(string.factors, 0.0) + alpha * string.sign
-        out = []
-        for factors, coeff in merged.items():
-            if coeff == 0.0:
-                continue
-            out.append((abs(coeff), PauliString(factors, 1 if coeff > 0 else -1)))
+        x, z = (np.asarray(m, dtype=np.int64).ravel() for m in (self.x, self.z))
+        coeff = np.asarray(self.coeff, dtype=float).ravel()
+        if not x.size == z.size == coeff.size:
+            raise ContractError("x, z and coeff differ in length")
+        if not np.isfinite(coeff).all():
+            raise ContractError("non-finite coefficient")
+        top = int(np.bitwise_or.reduce(x | z, initial=0))
+        if top < 0 or top.bit_length() > self.n:
+            raise ContractError(f"qubit {top.bit_length() - 1} out of range for n={self.n}")
+        merged: dict[tuple[int, int], float] = {}
+        for key, c in zip(zip(x.tolist(), z.tolist()), coeff.tolist()):
+            if c != 0.0:
+                merged[key] = merged.get(key, 0.0) + c
+        kept = {key: c for key, c in merged.items() if c != 0.0}
+        x, z = np.array(list(kept), dtype=np.int64).reshape(-1, 2).T.copy()
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "terms", tuple(out))
+        for name, value in (("x", x), ("z", z), ("coeff", np.array(list(kept.values()), dtype=float))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_signed(
         cls, n: int, items: Iterable[tuple[float, Mapping[int, str] | Iterable[tuple[int, str]]]]
     ) -> "LocalHamiltonian":
         """Build from (signed coefficient, factors) pairs; zeros dropped."""
-        terms = []
-        for coeff, factors in items:
-            coeff = float(coeff)
-            if coeff == 0.0:
-                continue
-            terms.append((abs(coeff), PauliString(tuple(dict(factors).items()), 1 if coeff > 0 else -1)))
-        return cls(n, tuple(terms))
+        items = list(items)
+        x, z = np.array([_factor_masks(f) for _, f in items], dtype=np.int64).reshape(-1, 2).T
+        return cls(n, x, z, [float(c) for c, _ in items])
 
     @property
     def N(self) -> float:
-        """Sum of the positive coefficients (the normalization constant)."""
-        return float(sum(alpha for alpha, _ in self.terms))
+        """Sum of the absolute coefficients (the normalization constant)."""
+        return float(sum(np.abs(self.coeff).tolist()))
 
     @property
     def locality(self) -> int:
-        return max((s.weight for _, s in self.terms), default=0)
+        return int(np.bitwise_count(self.x | self.z).max(initial=0))
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return self.coeff.size
 
     def has_real_entries(self) -> bool:
-        return all(s.has_real_entries() for _, s in self.terms)
-
-    @functools.cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Binary symplectic form, one entry per term: x-mask, z-mask, Y count, signed coefficient.
-
-        Bit n-1-q of the x-mask (z-mask) is set when qubit q carries X or
-        Y (Z or Y). Built once, on first use.
-        """
-        masks = [[sum(1 << (self.n - 1 - q) for q, op in s.factors if op != skip) for skip in "ZX"]
-                + [s.y_count()] for _, s in self.terms]
-        x, z, y = np.array(masks, dtype=np.int32).reshape(-1, 3).T
-        return x, z, y, np.array([alpha * s.sign for alpha, s in self.terms], dtype=float)
+        return not (np.bitwise_count(self.x & self.z) & 1).any()
 
     def signed_items(self) -> list[tuple[float, tuple[tuple[int, str], ...]]]:
-        return [(alpha * s.sign, s.factors) for alpha, s in self.terms]
+        """(signed coefficient, ((qubit, label), ...) in qubit order) for every term."""
+        return [(c, tuple((q, "IZXY"[(x >> q & 1) * 2 + (z >> q & 1)]) for q in range((x | z).bit_length())
+                          if (x | z) >> q & 1))
+                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist())]
 
     def scaled(self, factor: float) -> "LocalHamiltonian":
-        if factor == 0.0:
-            return LocalHamiltonian(self.n, ())
-        return LocalHamiltonian.from_signed(
-            self.n, [(factor * a * s.sign, dict(s.factors)) for a, s in self.terms]
-        )
+        return LocalHamiltonian(self.n, self.x, self.z, factor * self.coeff)
 
     def __add__(self, other: "LocalHamiltonian") -> "LocalHamiltonian":
         if not isinstance(other, LocalHamiltonian):
             return NotImplemented
         if other.n != self.n:
             raise ContractError("qubit counts differ")
-        return LocalHamiltonian(self.n, self.terms + other.terms)
+        return LocalHamiltonian(self.n, *(np.concatenate([getattr(self, f), getattr(other, f)])
+                                          for f in ("x", "z", "coeff")))
 
 
-def _term_phases(H: LocalHamiltonian, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _term_phases(H: LocalHamiltonian, ancillas: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha, rows, k) of every term at once: term t has entry alpha[t] i^k[t, c] at (rows[t, c], c).
 
-    rows and k are terms x 2^n arrays, allocated only once a realization
-    of dimension dim has passed the cap.
+    rows and k are terms x 2^n arrays, allocated only once the register
+    of n + ancillas qubits has passed the cap. Rows and columns index
+    with qubit 0 as the most significant bit, so mask bit q moves to
+    bit n-1-q here.
     """
-    _check_dim(dim)
-    x, z, y, coeff = H._packed
+    _check_qubits(H.n + ancillas)
+    q = np.arange(H.n)
+    x, z = ((np.stack([H.x, H.z])[..., None] >> q & 1) @ (1 << (H.n - 1 - q))).astype(np.int32)
     cols = np.arange(1 << H.n, dtype=np.int32)
     # each Z or Y factor contributes -1 on the columns where its qubit reads 1
     odd = np.bitwise_count(cols & z[:, None]) & 1
-    k0 = ((y + np.where(coeff > 0, 0, 2)) % 4).astype(np.uint8)
-    return np.abs(coeff), cols ^ x[:, None], (2 * odd + k0[:, None]) % 4
+    k0 = ((np.bitwise_count(H.x & H.z) + np.where(H.coeff > 0, 0, 2)) % 4).astype(np.uint8)
+    return np.abs(H.coeff), cols ^ x[:, None], (2 * odd + k0[:, None]) % 4
 
 
 def _phase_matrix(H: LocalHamiltonian, table: np.ndarray) -> sp.csr_matrix:
     """sum_t alpha_t T_t, where T_t is term t with each entry phase i^k replaced by table[k]."""
-    alpha, rows, k = _term_phases(H, 1 << H.n)
+    alpha, rows, k = _term_phases(H)
     return _sum_terms(1 << H.n, [(alpha[:, None], rows, np.arange(1 << H.n, dtype=np.int32), table[k])])
 
 
@@ -330,11 +285,12 @@ def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> Loc
     coeffs = coeffs.ravel() / dim
     if np.abs(coeffs.imag).max() > PAULI_IMAG_TOL:
         raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
-    items = []
-    for word in np.flatnonzero(np.abs(coeffs.real) > tol):
-        labels = ["IXYZ"[(word >> 2 * (k - 1 - q)) & 3] for q in range(k)]
-        items.append((coeffs.real[word], {q: label for q, label in enumerate(labels) if label != "I"}))
-    return LocalHamiltonian.from_signed(max(k, 1), items)
+    words = np.flatnonzero(np.abs(coeffs.real) > tol)
+    # base-4 digit k-1-q of a word is qubit q's label: 0, 1, 2, 3 for I, X, Y, Z
+    digits = words[:, None] >> 2 * (k - 1 - np.arange(k)) & 3
+    bits = 1 << np.arange(k)
+    return LocalHamiltonian(max(k, 1), ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits,
+                            coeffs.real[words])
 
 
 def remap_qubits(H: LocalHamiltonian, mapping: Sequence[int], total_n: int) -> LocalHamiltonian:
@@ -342,13 +298,15 @@ def remap_qubits(H: LocalHamiltonian, mapping: Sequence[int], total_n: int) -> L
     mapping = tuple(int(q) for q in mapping)
     if len(set(mapping)) != len(mapping):
         raise ContractError("qubit mapping must be injective")
-    if H.locality and max(q for a, s in H.terms for q in s.qubits()) >= len(mapping):
+    used = int(np.bitwise_or.reduce(H.x | H.z, initial=0))
+    if used >> len(mapping):
         raise ContractError("mapping does not cover all qubits in use")
-    items = []
-    for alpha, string in H.terms:
-        factors = {mapping[q]: op for q, op in string.factors}
-        items.append((alpha * string.sign, factors))
-    return LocalHamiltonian.from_signed(total_n, items)
+    x, z = np.zeros_like(H.x), np.zeros_like(H.z)
+    for q, target in enumerate(mapping[:used.bit_length()]):
+        bit = _factor_masks([(target, "Z")])[1]
+        x |= (H.x >> q & 1) * bit
+        z |= (H.z >> q & 1) * bit
+    return LocalHamiltonian(total_n, x, z, H.coeff)
 
 
 def random_instance(

@@ -17,7 +17,9 @@ import scipy.sparse as sp
 from . import mapping
 from .classify import _eigh, classify
 from .errors import ContractError, ResourceError
-from .pauli import DENSE_CAP, LocalHamiltonian, _csr_entries, _sum_terms, build_matrix, pauli_decompose
+from .pauli import (
+    DENSE_CAP, LocalHamiltonian, _csr_entries, _factor_masks, _sum_terms, build_matrix, pauli_decompose,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,14 +204,12 @@ def direct_sum(Ha: LocalHamiltonian, Hb: LocalHamiltonian) -> LocalHamiltonian:
     if Ha.n != Hb.n:
         raise ContractError("summands act on different register sizes")
     n = Ha.n
-    items = []
-    for coeff, factors in Ha.signed_items():
-        items.append((coeff / 2.0, dict(factors)))
-        items.append((coeff / 2.0, {**dict(factors), n: "Z"}))
-    for coeff, factors in Hb.signed_items():
-        items.append((coeff / 2.0, dict(factors)))
-        items.append((-coeff / 2.0, {**dict(factors), n: "Z"}))
-    return LocalHamiltonian.from_signed(n + 1, items)
+    # each term t becomes t/2 and t/2 Z_n, the latter negated for Hb's terms
+    coeff = np.repeat(np.concatenate([Ha.coeff, Hb.coeff]) / 2.0, 2)
+    coeff[2 * Ha.num_terms + 1::2] *= -1.0
+    z = np.repeat(np.concatenate([Ha.z, Hb.z]), 2)
+    z[1::2] |= _factor_masks([(n, "Z")])[1]
+    return LocalHamiltonian(n + 1, np.repeat(np.concatenate([Ha.x, Hb.x]), 2), z, coeff)
 
 
 def slater_witness(states) -> np.ndarray:

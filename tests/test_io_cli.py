@@ -710,17 +710,22 @@ def test_cli_is_thin_wrapper_over_library(tmp_path):
 
 
 def test_cli_oversized_register_names_its_qubit_count(tmp_path, capsys):
-    # 2^(n+a) for n = 10^6 has more decimal digits than Python will format
+    # 2^(n+a) for n = 10^6 has more decimal digits than Python will format; 1 << 10^20 cannot be built
     h = tmp_path / "huge.json"
-    terms = [{"coeff": 1.0, "paulis": [{"qubit": 0, "op": "X"}]}, {"coeff": 0.5, "paulis": []}]
-    h.write_text(json.dumps({"version": "1", "n": 1000000, "terms": terms}), encoding="utf-8")
-    for action, total in (("stoquastic", 1000001), ("stochastic", 1000001), ("complex", 1000002)):
-        assert run_command(["map", action, str(h), "--out", str(tmp_path / "r.json")]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {total} qubits exceed the 14-qubit realization cap" in err
-        assert "Traceback" not in err
-    assert run_command(["ham", "check", str(h), "--out", str(tmp_path / "r.json")]) == 2
-    assert "realization cap" in capsys.readouterr().err
+    for n, qubit in ((1000000, 0), (10**20, 0), (10**20, 10**17)):
+        terms = [{"coeff": 1.0, "paulis": [{"qubit": qubit, "op": "X"}]}, {"coeff": 0.5, "paulis": []}]
+        h.write_text(json.dumps({"version": "1", "n": n, "terms": terms}), encoding="utf-8")
+        commands = [(["ham", "check"], n), (["ham", "spectrum"], n), (["map", "stoquastic"], n + 1),
+                    (["map", "stochastic"], n + 1), (["map", "complex"], n + 2),
+                    (["protocol", "excited", "--c", "1", "--a", "0", "--b", "1"], n)]
+        for argv, total in commands:
+            assert run_command(argv[:2] + [str(h)] + argv[2:] + ["--out", str(tmp_path / "r.json")]) == 2
+            err = capsys.readouterr().err
+            if qubit:
+                assert f"error: qubit {qubit} lies beyond the 14-qubit realization cap" in err
+            else:
+                assert f"error: {total} qubits exceed the 14-qubit realization cap" in err
+            assert "Traceback" not in err
 
 
 def test_cli_error_line_reports_the_best_residual(tmp_path, capsys, monkeypatch):

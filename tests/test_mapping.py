@@ -95,7 +95,7 @@ def test_stochastize_x_plus_z():
 def test_stochastize_column_sums_one():
     for seed in range(6):
         H = random_instance(3, seed=seed)
-        if not H.terms:
+        if not H.num_terms:
             continue
         M = stochastize(H).realize().toarray()
         assert np.max(np.abs(M.sum(axis=0) - 1.0)) < 1e-12
@@ -104,7 +104,7 @@ def test_stochastize_column_sums_one():
 
 def test_stochastize_empty_rejected():
     with pytest.raises(ContractError):
-        stochastize(LocalHamiltonian(1, ()))
+        stochastize(LocalHamiltonian.from_signed(1, []))
 
 
 def test_sectors_are_invariant_subspaces():
@@ -138,7 +138,7 @@ def test_penalty_preserves_stochasticity():
 def test_penalty_split_strict():
     for seed in range(5):
         H = random_instance(3, seed=seed)
-        if not H.terms:
+        if not H.num_terms:
             continue
         N = H.N
         for p in (0.1, 0.25):

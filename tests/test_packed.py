@@ -51,9 +51,9 @@ def kron_word(word):
 def kron_matrix(H):
     """Sum over terms of alpha * sign * (Kronecker product of factors), one term at a time."""
     out = np.zeros((1 << H.n, 1 << H.n), dtype=complex)
-    for alpha, string in H.terms:
-        word = [dict(string.factors).get(q, "I") for q in range(H.n)]
-        out += alpha * string.sign * kron_word(word)
+    for coeff, factors in H.signed_items():
+        word = [dict(factors).get(q, "I") for q in range(H.n)]
+        out += coeff * kron_word(word)
     return out
 
 
@@ -69,7 +69,7 @@ def kron_decompose(dense, tol=TOL):
 
 
 def signed(H):
-    return {string.factors: alpha * string.sign for alpha, string in H.terms}
+    return {factors: coeff for coeff, factors in H.signed_items()}
 
 
 @st.composite
@@ -86,6 +86,38 @@ def hamiltonians(draw, real=False, n=None):
         if n >= 2 and draw(st.booleans()):
             items.append((draw(coeff), {0: "Y", n - 1: "Y"}))
     return LocalHamiltonian.from_signed(n, items)
+
+
+@st.composite
+def signed_lists(draw):
+    """(n, items): up to 12 (coeff, factors) pairs over a few strings with Y, repeated and exactly
+    cancelled, each given as a {qubit: label} dict or as (qubit, label) pairs in a drawn order."""
+    n = draw(st.integers(1, 4))
+    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=min(n, 3))
+    pool = draw(st.lists(strings, min_size=1, max_size=4))
+    coeff = st.one_of(st.sampled_from([0.25, -0.5, 1.0, 0.0]), st.floats(-2.0, 2.0))
+    items = draw(st.lists(st.tuples(coeff, st.sampled_from(pool)), min_size=1, max_size=9))
+    items += [(-c, f) for c, f in draw(st.lists(st.sampled_from(items), max_size=3))]
+    return n, [(c, draw(st.permutations(list(f.items()))) if draw(st.booleans()) else f)
+               for c, f in draw(st.permutations(items))]
+
+
+@seed(20090528)
+@settings(max_examples=150, deadline=None, database=None)
+@given(signed_lists())
+def test_signed_items_match_a_dict_merge_over_sorted_factors(case):
+    n, items = case
+    H = LocalHamiltonian.from_signed(n, items)
+    merged = {}
+    for c, factors in items:
+        if c != 0.0:
+            key = tuple(sorted(dict(factors).items()))
+            merged[key] = merged.get(key, 0.0) + c
+    want = [(c, f) for f, c in merged.items() if c != 0.0]
+    assert H.signed_items() == want
+    oracle = sum((c * kron_word([dict(f).get(q, "I") for q in range(n)]) for c, f in want),
+                 np.zeros((1 << n, 1 << n), dtype=complex))
+    assert np.max(np.abs(build_matrix(H).toarray() - oracle)) <= TOL
 
 
 def sector_block(mapped, sector, realized):
@@ -114,7 +146,7 @@ def test_real_maps_match_their_terms_and_keep_the_minus_sector(H):
     assert np.max(np.abs(realized.toarray() - parts)) <= TOL
     assert np.max(np.abs(sector_block(stoq, "-", realized) - want), initial=0.0) <= TOL
     assert classify(realized).stoquastic
-    if not H.terms:
+    if not H.num_terms:
         return
     stoch = stochastize(H)
     realized = stoch.realize()
@@ -131,7 +163,7 @@ def test_real_maps_match_their_terms_and_keep_the_minus_sector(H):
 @settings(max_examples=60, deadline=None, database=None)
 @given(hamiltonians())
 def test_z4_map_matches_its_terms_and_both_conjugate_sectors(H):
-    if not H.terms:
+    if not H.num_terms:
         return
     mapped, dec = stochastize_complex(H)
     realized = mapped.realize()
@@ -153,8 +185,8 @@ def test_fast_decomposition_matches_kron_loop_and_inverts_build_matrix(H):
     dense = build_matrix(H).toarray()
     got = pauli_decompose(dense)
     want = LocalHamiltonian.from_signed(H.n, kron_decompose(dense))
-    assert [s for _, s in got.terms] == [s for _, s in want.terms]
-    assert all(abs(a - b) <= TOL for (a, _), (b, _) in zip(got.terms, want.terms))
+    assert [(f, c > 0) for c, f in got.signed_items()] == [(f, c > 0) for c, f in want.signed_items()]
+    assert all(abs(a - b) <= TOL for (a, _), (b, _) in zip(got.signed_items(), want.signed_items()))
     # coefficients at or below tol are dropped by contract, so a near-cancelled merge may vanish
     back, orig = signed(got), {f: c for f, c in signed(H).items() if abs(c) > TOL}
     assert back.keys() == orig.keys()
@@ -166,7 +198,7 @@ def test_fast_decomposition_matches_kron_loop_and_inverts_build_matrix(H):
 @given(hamiltonians(real=True), st.floats(0.01, 0.33))
 def test_penalty_split_below_one_third(H, p):
     """Lower 2^n eigenvalues of p * stochastize(H) + (1-p)(1+X)/2 are (p/N) spec(H), apart from the rest."""
-    assume(H.terms)
+    assume(H.num_terms)
     vals = np.linalg.eigvalsh(add_ancilla_penalty(stochastize(H), p).realize().toarray())
     low, high = vals[: 1 << H.n], vals[1 << H.n:]
     want = np.linalg.eigvalsh(kron_matrix(H)) * p / H.N
@@ -184,7 +216,7 @@ def psd_term_lists(draw):
         shift = max(0.0, -np.linalg.eigvalsh(kron_matrix(H))[0]) + draw(st.sampled_from([0.0, 0.25]))
         items = [(c, dict(f)) for f, c in signed(H).items()] + [(shift, {})]
         psd = LocalHamiltonian.from_signed(n, [(c, f) for c, f in items if c != 0.0])
-        assume(psd.terms)
+        assume(psd.num_terms)
         terms.append(psd)
     return terms
 

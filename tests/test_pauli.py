@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from stoqmap import (
     ContractError,
     LocalHamiltonian,
-    PauliString,
     QuantumCircuit,
     ResourceError,
     SatInstance,
@@ -21,7 +20,6 @@ from stoqmap import (
     embed,
     pauli_decompose,
     random_instance,
-    realize_string,
     remap_qubits,
     rot,
     stochastize,
@@ -58,22 +56,20 @@ def test_xx_antidiagonal():
 def test_random_instance_matches_kron_oracle(seed):
     H = random_instance(3, locality=2, seed=seed, include_y=True)
     want = np.zeros((8, 8), dtype=complex)
-    for alpha, string in H.terms:
-        want += alpha * kron_oracle(3, dict(string.factors), string.sign)
+    for coeff, factors in H.signed_items():
+        want += coeff * kron_oracle(3, dict(factors))
     assert np.max(np.abs(build_matrix(H).toarray() - want)) < 1e-12
 
 
 @pytest.mark.parametrize("ops", [{0: "X"}, {0: "Y"}, {1: "Z"}, {0: "X", 2: "Y"}, {0: "Z", 1: "Z", 2: "X"}])
 def test_string_squares_to_identity(ops):
-    s = PauliString(tuple(sorted(ops.items())))
-    M = realize_string(s, 3).toarray()
+    M = build_matrix(LocalHamiltonian.from_signed(3, [(1.0, ops)])).toarray()
     assert np.max(np.abs(M @ M - np.eye(8))) < 1e-12
     assert np.max(np.abs(M - M.conj().T)) < 1e-12
 
 
 def test_string_entries_in_unit_set():
-    s = PauliString(((0, "Y"), (1, "Z")))
-    M = realize_string(s, 2).toarray()
+    M = build_matrix(LocalHamiltonian.from_signed(2, [(1.0, ((0, "Y"), (1, "Z")))])).toarray()
     nz = M[np.abs(M) > 0]
     assert np.allclose(np.abs(nz), 1.0)
     for v in nz:
@@ -82,12 +78,16 @@ def test_string_entries_in_unit_set():
 
 def test_duplicate_qubit_rejected():
     with pytest.raises(ContractError):
-        PauliString(((0, "X"), (0, "Z")))
+        LocalHamiltonian.from_signed(1, [(1.0, ((0, "X"), (0, "Z")))])
 
 
-def test_negative_alpha_rejected():
-    with pytest.raises(ContractError, match="sign"):
-        LocalHamiltonian(1, ((-1.0, PauliString(((0, "Z"),))),))
+def test_from_signed_refuses_factors_the_loader_refuses():
+    with pytest.raises(ContractError, match="duplicate qubit 0"):
+        LocalHamiltonian.from_signed(1, [(1.0, [(0, "X"), (0, "Z")])])
+    with pytest.raises(ContractError, match="bad qubit index True"):
+        LocalHamiltonian.from_signed(2, [(1.0, {True: "X"})])
+    with pytest.raises(ResourceError, match="qubit 63 lies beyond the 14-qubit realization cap"):
+        LocalHamiltonian.from_signed(64, [(1.0, {63: "Z"})])
 
 
 def test_duplicate_strings_merge_and_cancel():
@@ -148,12 +148,12 @@ def test_remap_qubits():
 def test_random_instance_deterministic():
     a = random_instance(2, seed=7)
     b = random_instance(2, seed=7)
-    assert a.terms == b.terms
+    assert a.signed_items() == b.signed_items()
 
 
 def test_random_instance_locality_bound():
     H = random_instance(3, locality=2, seed=0)
-    assert all(string.weight <= 2 for _, string in H.terms)
+    assert all(len(factors) <= 2 for _, factors in H.signed_items())
 
 
 def test_random_instance_zero_scale_is_empty():

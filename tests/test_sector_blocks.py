@@ -59,7 +59,7 @@ def hamiltonians(draw, with_y):
     coeff = st.floats(0.05, 2.0).flatmap(lambda a: st.sampled_from([a, -a]))
     items = draw(st.lists(st.tuples(coeff, factors), min_size=1, max_size=6))
     H = LocalHamiltonian.from_signed(n, items)
-    return H if H.terms else LocalHamiltonian.from_signed(n, [(1.0, {0: "Z"})])
+    return H if H.num_terms else LocalHamiltonian.from_signed(n, [(1.0, {0: "Z"})])
 
 
 def map_cases():

@@ -156,7 +156,7 @@ def test_hermitian_eigenvalues_real():
 @pytest.mark.parametrize("seed", range(50))
 def test_perron_suite(seed):
     H = random_instance(3, locality=2, seed=seed)
-    if not H.terms:
+    if not H.num_terms:
         return
     M = stochastize(H).realize()
     report = spectral_report(M)
