@@ -117,6 +117,8 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
 
     A caller that already holds the lowest eigenvalue of a Hermitian A
     passes it as lowest, so the psd flag costs no second diagonalization.
+    Otherwise a diagonal entry with real part below -tol decides psd with
+    no solve: lambda_min <= Re A_ii, the Rayleigh quotient of a basis vector.
     """
     if A.shape[0] != A.shape[1]:
         raise ContractError("classify expects a square matrix")
@@ -145,7 +147,9 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
 
     projector = hermitian and _diagonal_may_square_to_itself(A, tol, skew) and _max_abs(A @ A - A) <= tol
     if hermitian and lowest is None:
-        lowest = _min_eigenvalue(A, dense_cap, tol)
+        lowest = float(A.diagonal().real.min())
+        if lowest >= -tol:
+            lowest = _min_eigenvalue(A, dense_cap, tol)
     psd = hermitian and float(lowest) >= -tol
 
     return MatrixClassFlags(

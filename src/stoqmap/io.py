@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .clock import Gate, QuantumCircuit
 from .errors import ContractError
-from .pauli import LocalHamiltonian, build_matrix
+from .pauli import LocalHamiltonian, _check_qubits, build_matrix
 from .protocols import SatInstance
 from .spectra import SpectralReport
 
@@ -190,6 +190,7 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
     _check_version(data, where)
     n = data.get("n")
     _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
+    _check_qubits(n)  # before any 1 << n
     epsilon = data.get("epsilon")
     _require(type(epsilon) in (int, float) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
     kind = data.get("kind", "quantum")

@@ -18,7 +18,7 @@ from .classify import _max_abs, _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
     _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _csr_entries, _phase_matrix, _sum_terms, _term_phases,
-    build_matrix,
+    build_matrix, remap_qubits,
 )
 from .spectra import eig_dense
 
@@ -285,7 +285,10 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
             raise ContractError("terms act on different register sizes")
         if not H.num_terms:
             raise ContractError("empty term has no normalization")
-        if _min_eigenvalue(build_matrix(H), DENSE_CAP) < -FF_PSD_FLOOR:
+        used = int(np.bitwise_or.reduce(H.x | H.z))  # psd is checked on the term's support alone
+        order = sorted(range(n), key=lambda q: not used >> q & 1)
+        block = build_matrix(remap_qubits(H, np.argsort(order), max(used.bit_count(), 1)))
+        if _min_eigenvalue(block, DENSE_CAP) < -FF_PSD_FLOOR:
             raise ContractError("input term is not positive semidefinite")
     use_z4 = not all(H.has_real_entries() for H in terms)
     N = sum(H.N for H in terms)

@@ -18,7 +18,8 @@ from . import mapping
 from .classify import _eigh, classify
 from .errors import ContractError, ResourceError
 from .pauli import (
-    DENSE_CAP, LocalHamiltonian, _csr_entries, _factor_masks, _sum_terms, build_matrix, pauli_decompose,
+    DENSE_CAP, LocalHamiltonian, _check_qubits, _csr_entries, _factor_masks, _sum_terms, build_matrix,
+    pauli_decompose,
 )
 
 
@@ -46,6 +47,7 @@ class SatInstance:
         ops = tuple(sp.csr_matrix(op) for op in self.operators)
         if not ops:
             raise ContractError("instance needs at least one operator")
+        _check_qubits(self.n)
         dim = 1 << self.n
         for op in ops:
             if op.shape != (dim, dim):

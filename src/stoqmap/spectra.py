@@ -7,13 +7,13 @@ ARPACK (Lanczos with implicit restarts) above it, seeded start vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _eigh
+from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _min_eigenvalue
 from .errors import ContractError, ConvergenceError, ResourceError
 from .pauli import DENSE_CAP, _is_hermitian
 
@@ -117,13 +117,19 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
 
 def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
                         compute_vectors: bool = True) -> tuple[MatrixClassFlags, Spectrum | None]:
-    """classify(A) of a canonical CSR A and, under the dense cap, its full spectrum from one eigensolve."""
+    """classify(A) of a canonical CSR A and, under the dense cap, its full spectrum from one eigensolve.
+
+    compute_vectors keeps vectors only where the Perron overlap reads them: symmetric column-stochastic A.
+    """
     if A.shape[0] > dense_cap or A.shape[0] != A.shape[1]:
         return _classify(A, tol, dense_cap), None
-    spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors)
-    # eig_dense's Hermitian branch already found the lowest eigenvalue the psd flag needs
-    lowest = float(spec.eigenvalues[0]) if spec.method == "dense" else None
-    return _classify(A, tol, dense_cap, lowest), spec
+    flags = _classify(A, tol, dense_cap, 0.0)  # psd = hermitian until the lowest eigenvalue is known
+    perron = flags.symmetric and flags.column_stochastic
+    spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors and perron)
+    if flags.hermitian:  # eig_dense's Hermitian branch already found the lowest eigenvalue
+        lowest = spec.eigenvalues[0] if spec.method == "dense" else _min_eigenvalue(A, dense_cap, tol)
+        flags = replace(flags, psd=float(lowest) >= -tol)
+    return flags, spec
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:

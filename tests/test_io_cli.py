@@ -21,6 +21,7 @@ from stoqmap import (
     ExcitedEnergyProblem,
     LocalHamiltonian,
     QuantumCircuit,
+    ResourceError,
     SatInstance,
     add_ancilla_penalty,
     build_Hc,
@@ -726,6 +727,21 @@ def test_cli_oversized_register_names_its_qubit_count(tmp_path, capsys):
             else:
                 assert f"error: {total} qubits exceed the 14-qubit realization cap" in err
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("action", ["decide", "reduce"])
+def test_cli_sat_matrix_operator_on_a_huge_register_names_the_cap(tmp_path, capsys, action):
+    # a matrix operator's shape was compared with (1 << n, 1 << n) before any cap check
+    path = tmp_path / "sat.json"
+    for n in (15, 10**20):
+        sat = {"version": "1", "n": n, "epsilon": 0.1, "operators": [{"matrix": bad_matrix([0, 0])}]}
+        path.write_text(json.dumps(sat), encoding="utf-8")
+        assert run_command(["sat", action, str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {n} qubits exceed the 14-qubit realization cap" in err
+        assert "Traceback" not in err
+    with pytest.raises(ResourceError, match="15 qubits exceed"):
+        SatInstance(n=15, operators=(sp.identity(2, format="csr"),), epsilon=0.1, kind="quantum")
 
 
 def test_cli_error_line_reports_the_best_residual(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stoqmap import (
     ContractError,
     LocalHamiltonian,
+    ResourceError,
     MappedHamiltonian,
     add_ancilla_penalty,
     add_penalty_complex,
@@ -306,6 +308,26 @@ def test_stochastize_ff_terms_psd_and_stochastic():
 def test_stochastize_ff_rejects_non_psd():
     with pytest.raises(ContractError, match="positive semidefinite"):
         stochastize_ff([ham(1, [(1.0, {0: "Z"})])], 0.25)
+
+
+def test_stochastize_ff_checks_psd_on_each_terms_support(monkeypatch):
+    # lowest eigenvalue 0 and -0.1 on the 3-qubit support {2, 9, 13}; no ARPACK run over the register
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("psd was checked on the whole register")
+
+    monkeypatch.setattr(spla, "eigsh", no_arpack)
+    for shift, n in ((1.5, 13), (1.5, 14), (1.4, 14)):
+        H = ham(n, [(shift, {}), (1.0, {2: "Z", 9: "X"}), (0.5, {13 - (n == 13): "X"})])
+        if shift < 1.5:
+            with pytest.raises(ContractError, match="positive semidefinite"):
+                stochastize_ff([H], 0.25)
+        elif n == 14:  # accepted; the one-ancilla map then needs 15 qubits
+            with pytest.raises(ResourceError, match="15 qubits exceed"):
+                stochastize_ff([H], 0.25)
+        else:
+            (out,) = stochastize_ff([H], 0.25)
+            assert out.shape == (1 << 14, 1 << 14)
+            assert np.allclose(out.sum(axis=0), 1.0) and out.data.min() >= 0.0
 
 
 def test_stochastize_ff_rejects_bad_p():
