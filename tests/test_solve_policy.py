@@ -208,10 +208,6 @@ def test_two_component_doubly_stochastic_top_space_is_degenerate():
     assert_report_close(report, *full_eigh_report(M))
 
 
-def run(tmp_path, argv):
-    assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
-
-
 def test_each_command_makes_only_the_solves_its_report_reads(tmp_path, monkeypatch):
     calls = counted_solves(monkeypatch)
     generic = tmp_path / "generic.json"
@@ -236,5 +232,5 @@ def test_each_command_makes_only_the_solves_its_report_reads(tmp_path, monkeypat
     ]
     for argv, solves in expected:
         calls.clear()
-        run(tmp_path, argv)
+        assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
         assert calls == solves, argv
