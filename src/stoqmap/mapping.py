@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from .classify import _max_abs, _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _csr_entries, _phase_matrix, _sum_terms, _term_phases,
-    build_matrix, remap_qubits,
+    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _phase_matrix, _sum_terms,
+    _term_phases, build_matrix, remap_qubits,
 )
 from .spectra import eig_dense
 
@@ -280,15 +280,18 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
     if not (0.0 < p < 1.0 / 3.0):
         raise ContractError(f"p must lie in (0, 1/3), got {p}")
     n = terms[0].n
+    _check_qubits(n)  # before 1 << n
     for H in terms:
         if H.n != n:
             raise ContractError("terms act on different register sizes")
         if not H.num_terms:
             raise ContractError("empty term has no normalization")
-        used = int(np.bitwise_or.reduce(H.x | H.z))  # psd is checked on the term's support alone
-        order = sorted(range(n), key=lambda q: not used >> q & 1)
-        block = build_matrix(remap_qubits(H, np.argsort(order), max(used.bit_count(), 1)))
-        if _min_eigenvalue(block, DENSE_CAP) < -FF_PSD_FLOOR:
+        block = H
+        if 1 << n > DENSE_CAP:  # check psd on the term's support, not by ARPACK over the register
+            used = int(np.bitwise_or.reduce(H.x | H.z))
+            order = sorted(range(n), key=lambda q: not used >> q & 1)
+            block = remap_qubits(H, np.argsort(order), max(used.bit_count(), 1))
+        if _min_eigenvalue(build_matrix(block), DENSE_CAP) < -FF_PSD_FLOOR:
             raise ContractError("input term is not positive semidefinite")
     use_z4 = not all(H.has_real_entries() for H in terms)
     N = sum(H.N for H in terms)

@@ -301,8 +301,11 @@ def remap_qubits(H: LocalHamiltonian, mapping: Sequence[int], total_n: int) -> L
     used = int(np.bitwise_or.reduce(H.x | H.z, initial=0))
     if used >> len(mapping):
         raise ContractError("mapping does not cover all qubits in use")
-    bits = np.array([_factor_masks([(t, "Z")])[1] for t in mapping[:used.bit_length()]], dtype=np.int64)
-    x, z = (np.stack([H.x, H.z])[..., None] >> np.arange(bits.size) & 1) @ bits
+    x, z = np.zeros_like(H.x), np.zeros_like(H.z)
+    for q, target in enumerate(mapping[:used.bit_length()]):
+        bit = _factor_masks([(target, "Z")])[1]
+        x |= (H.x >> q & 1) * bit
+        z |= (H.z >> q & 1) * bit
     return LocalHamiltonian(total_n, x, z, H.coeff)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _min_eigenvalue
+from .classify import MatrixClassFlags, _as_csr, _classify, _eigh
 from .errors import ContractError, ConvergenceError, ResourceError
 from .pauli import DENSE_CAP, _is_hermitian
 
@@ -126,10 +126,10 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
     flags = _classify(A, tol, dense_cap, 0.0)  # psd = hermitian until the lowest eigenvalue is known
     perron = flags.symmetric and flags.column_stochastic
     spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors and perron)
-    if flags.hermitian:  # eig_dense's Hermitian branch already found the lowest eigenvalue
-        lowest = spec.eigenvalues[0] if spec.method == "dense" else _min_eigenvalue(A, dense_cap, tol)
-        flags = replace(flags, psd=float(lowest) >= -tol)
-    return flags, spec
+    if flags.hermitian and spec.method != "dense":  # tol-Hermitian A that eig_dense solved as general
+        return _classify(A, tol, dense_cap), spec
+    # eig_dense's Hermitian branch already found the lowest eigenvalue
+    return replace(flags, psd=flags.hermitian and float(spec.eigenvalues[0]) >= -tol), spec
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:

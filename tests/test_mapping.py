@@ -330,6 +330,13 @@ def test_stochastize_ff_checks_psd_on_each_terms_support(monkeypatch):
             assert np.allclose(out.sum(axis=0), 1.0) and out.data.min() >= 0.0
 
 
+def test_stochastize_ff_refuses_a_register_above_the_cap():
+    # a legal LocalHamiltonian on 10^9 qubits is refused at the cap before any per-qubit work
+    for n in (10**9, 10**20):
+        with pytest.raises(ResourceError, match=f"{n} qubits exceed the 14-qubit realization cap"):
+            stochastize_ff([ham(n, [(1.0, {}), (1.0, {0: "Z"})])], 0.25)
+
+
 def test_stochastize_ff_rejects_bad_p():
     H1 = ham(1, [(0.5, {}), (-0.5, {0: "Z"})])
     with pytest.raises(ContractError):
