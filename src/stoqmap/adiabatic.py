@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import mapping
 from .classify import _as_csr, _check_dense_cap, _eigh
-from .clock import ClockTerm, QuantumCircuit, _propagation_pieces, build_ff, clock_state_index
+from .clock import ClockTerm, FFHamiltonian, QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
 from .errors import ContractError
 from .pauli import DENSE_CAP, _csr_entries
 from .spectra import DEGENERACY_TOL
@@ -58,12 +58,12 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
     columns of B at one clock time are a unitary image of the work basis.
     """
-    ff = build_ff(circuit, 0.25)
+    ff = FFHamiltonian(circuit, 0.0, _fixed_terms(circuit))  # K's terms only, on the clock register
     clocks = [clock_state_index(t, ff.L) for t in range(ff.L + 1)]
     legal = (np.arange(1 << ff.n)[:, None] * (1 << (ff.L + 1)) + clocks).ravel()
     projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(ff.dim, ff.dim))
     props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
-    parts = [ff._sum(t for t in ff.terms if not t.label.startswith("prop_"))]
+    parts = [ff.realize()]
     parts += [ff._sum(ClockTerm("prop", p[0], p[i]) for p in props) for i in (1, 2, 3)]
     pattern = _as_csr(sum(abs(M) for M in parts))
     rows, cols, _ = _csr_entries(pattern)
@@ -150,9 +150,51 @@ def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.n
     return groups
 
 
-def _check_shape(H, psi: np.ndarray) -> None:
-    if H.shape != (psi.size, psi.size):
-        raise ContractError(f"sample has shape {H.shape}, the state has dimension {psi.size}")
+def _check_shape(H, dim: int) -> None:
+    if H.shape != (dim, dim):
+        raise ContractError(f"sample has shape {H.shape}, the state has dimension {dim}")
+
+
+def _midpoint_factors(path: HamiltonianPath, steps: int, dim: int, dense_cap: int):
+    """For each step k, [(idx, vals, vecs) per block size] of the sample H((k + 1/2)/steps).
+
+    Consecutive samples on one stored pattern form a run. A run
+    is solved in batches, one stacked _eigh per block size of shape
+    (count, b, m, m), so the whole run costs a few solves, not one per
+    step. A batch's blocks hold at most dense_cap**2 entries in all, as
+    one dense solve at the cap does. Each sample is checked against
+    dense_cap and dim when it is built, before any batch holding it is
+    solved.
+    """
+    run, blocks, pattern, per_batch = [], [], (None, None), 0
+    for k in range(steps):
+        H = _as_csr(path.generator((k + 0.5) / steps))  # duplicate entries add up, as they would densified
+        _check_dense_cap(H.shape[0], dense_cap)
+        _check_shape(H, dim)
+        if not (np.array_equal(H.indptr, pattern[0]) and np.array_equal(H.indices, pattern[1])):
+            yield from _solved(blocks, run, dense_cap)
+            blocks, pattern, run = _pattern_blocks(H), (H.indptr.copy(), H.indices.copy()), []
+            per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in blocks)
+        elif len(run) == per_batch:
+            yield from _solved(blocks, run, dense_cap)
+            run = []
+        run.append(H.data.copy())  # a generator may reuse its buffers
+    yield from _solved(blocks, run, dense_cap)
+
+
+def _solved(blocks, run: list[np.ndarray], dense_cap: int):
+    """Per sample of run (data arrays on the pattern of blocks), its (idx, vals, vecs) per block size."""
+    if not run:
+        return
+    data = np.stack(run)
+    factors = []
+    for idx, entries, slots in blocks:
+        b, m = idx.shape
+        stack = np.zeros((len(run), b * m * m), dtype=data.dtype)
+        stack[:, slots] = data[:, entries]
+        factors.append((idx, *_eigh(stack.reshape(len(run), b, m, m), dense_cap)))
+    for j in range(len(run)):
+        yield [(idx, vals[j], vecs[j]) for idx, vals, vecs in factors]
 
 
 def evolve(
@@ -169,9 +211,12 @@ def evolve(
     eigenspace (eigenvalues within a degeneracy window of the minimum);
     a vector or a callable u -> vector tracks |<target|psi>|^2 instead.
 
-    Each step diagonalizes the midpoint sample block by block (see
-    _pattern_blocks), all blocks of one size in one stacked solve. The
-    blocks are found once per distinct pattern. dense_cap bounds the
+    Each step propagates the midpoint sample block by block (see
+    _pattern_blocks). The samples do not depend on the state, so they are
+    solved ahead of the steps that apply them: per run of steps on one
+    pattern, all blocks of one size in one stacked solve, in batches of
+    at most dense_cap**2 block entries (see _midpoint_factors). The
+    blocks are found once per distinct pattern. dense_cap bounds each
     sample's whole dimension, checked before anything dense is built.
     """
     if steps < 1:
@@ -206,20 +251,10 @@ def evolve(
         if pops is not None:
             pops[k] = float(np.real(np.vdot(psi, path.sector_projector @ psi)))
 
-    _check_shape(path.generator(0.0), psi)  # before the u = 0 target and population read it
+    _check_shape(path.generator(0.0), psi.size)  # before the u = 0 target and population read it
     record(0, 0.0)
-    blocks, pattern = [], (None, None)
-    for k in range(steps):
-        H = _as_csr(path.generator((k + 0.5) / steps))  # duplicate entries add up, as they would densified
-        _check_dense_cap(H.shape[0], dense_cap)
-        _check_shape(H, psi)
-        if not (np.array_equal(H.indptr, pattern[0]) and np.array_equal(H.indices, pattern[1])):
-            blocks, pattern = _pattern_blocks(H), (H.indptr.copy(), H.indices.copy())
-        for idx, entries, slots in blocks:
-            b, m = idx.shape
-            stack = np.zeros(b * m * m, dtype=H.dtype)
-            stack[slots] = H.data[entries]
-            vals, vecs = _eigh(stack.reshape(b, m, m), dense_cap)
+    for k, factors in enumerate(_midpoint_factors(path, steps, psi.size, dense_cap)):
+        for idx, vals, vecs in factors:
             amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * np.exp(-1j * vals * dt)
             psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1, (k + 1.0) / steps)

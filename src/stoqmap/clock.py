@@ -234,6 +234,15 @@ def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
     """Assemble the frustration-free Hamiltonian H^FF(s) for a circuit."""
     if not (0.0 <= s <= 0.5):
         raise ContractError(f"s must lie in [0, 1/2], got {s}")
+    fixed = _fixed_terms(circuit)
+    b = float(np.sqrt(s * (1.0 - s)))
+    props = tuple(ClockTerm(f"prop_{j}", qubits, s * lo + (1.0 - s) * hi - b * hop)
+                  for j, (qubits, lo, hi, hop) in enumerate(_propagation_pieces(circuit), start=1))
+    return FFHamiltonian(circuit=circuit, s=float(s), terms=fixed + props)
+
+
+def _fixed_terms(circuit: QuantumCircuit) -> tuple[ClockTerm, ...]:
+    """The pin, clock and init terms of H^FF(s), which do not depend on s; the register is checked first."""
     L, n = circuit.L, circuit.n
     if L < 1:
         raise ContractError("circuit needs at least one gate")
@@ -241,7 +250,6 @@ def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
         raise ResourceError(
             f"clock register needs n + L + 1 = {n + L + 1} qubits, above the {MAX_QUBITS}-qubit cap"
         )
-    b = float(np.sqrt(s * (1.0 - s)))
     c = lambda j: n + j - 1
     terms: list[ClockTerm] = []
     terms.append(ClockTerm("pin", (c(1),), np.diag([1.0, 0.0])))
@@ -252,9 +260,7 @@ def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
         local = np.zeros((8, 8))
         local[0b110, 0b110] = 1.0
         terms.append(ClockTerm(f"init_{j}", (j - 1, c(1), c(2)), local))
-    for j, (qubits, lo, hi, hop) in enumerate(_propagation_pieces(circuit), start=1):
-        terms.append(ClockTerm(f"prop_{j}", qubits, s * lo + (1.0 - s) * hi - b * hop))
-    return FFHamiltonian(circuit=circuit, s=float(s), terms=tuple(terms))
+    return tuple(terms)
 
 
 def clock_state_index(t: int, L: int) -> int:

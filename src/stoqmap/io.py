@@ -39,6 +39,10 @@ def _read_json(path: str):
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer longer than Python's int-to-str digit limit
+        raise ContractError(f"{path}: {exc}") from None
 
 
 def _check_version(data: dict, where: str):
@@ -77,6 +81,14 @@ def hamiltonian_to_data(H: LocalHamiltonian) -> dict:
     return {"version": FORMAT_VERSION, "n": H.n, "terms": terms}
 
 
+def _finite(value) -> bool:
+    """True when value, already an int or float, is a finite float; a huge int overflows to no float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamiltonian:
     _check_version(data, where)
     n = data.get("n")
@@ -85,24 +97,37 @@ def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamilt
     _require(isinstance(terms, list), where, "terms must be a list")
     items = []
     for i, term in enumerate(terms):
-        ctx = f"{where}.terms[{i}]"
-        _require(isinstance(term, dict), ctx, "expected an object")
+        if not isinstance(term, dict):
+            raise _term_error(where, i, "expected an object")
         coeff = term.get("coeff")
-        _require(type(coeff) in (int, float), ctx, f"bad coeff {coeff!r}")
-        _require(np.isfinite(coeff), ctx, f"non-finite coeff {coeff!r}")
+        if type(coeff) not in (int, float):
+            raise _term_error(where, i, f"bad coeff {coeff!r}")
+        if not _finite(coeff):
+            raise _term_error(where, i, "coeff is too large for a float" if type(coeff) is int
+                              else f"non-finite coeff {coeff!r}")
         paulis = term.get("paulis", [])
-        _require(isinstance(paulis, list), ctx, "paulis must be a list")
+        if not isinstance(paulis, list):
+            raise _term_error(where, i, "paulis must be a list")
         factors = {}
         for j, pa in enumerate(paulis):
-            pctx = f"{ctx}.paulis[{j}]"
-            _require(isinstance(pa, dict), pctx, "expected an object")
+            if not isinstance(pa, dict):
+                raise _term_error(where, i, "expected an object", j)
             q, op = pa.get("qubit"), pa.get("op")
-            _require(type(q) is int and 0 <= q < n, pctx, f"bad qubit {q!r}")
-            _require(op in ("X", "Y", "Z"), pctx, f"bad op {op!r}")
-            _require(q not in factors, pctx, f"duplicate qubit {q}")
+            if not (type(q) is int and 0 <= q < n):
+                raise _term_error(where, i, f"bad qubit {q!r}", j)
+            if op not in ("X", "Y", "Z"):
+                raise _term_error(where, i, f"bad op {op!r}", j)
+            if q in factors:
+                raise _term_error(where, i, f"duplicate qubit {q}", j)
             factors[q] = op
         items.append((coeff, factors))
     return LocalHamiltonian.from_signed(n, items)
+
+
+def _term_error(where: str, i: int, msg: str, j: int | None = None) -> ContractError:
+    """The error for term i, or its Pauli factor j; a load that passes formats no context."""
+    ctx = f"{where}.terms[{i}]" if j is None else f"{where}.terms[{i}].paulis[{j}]"
+    return ContractError(f"{ctx}: {msg}")
 
 
 def load_hamiltonian(path: str) -> LocalHamiltonian:
@@ -149,6 +174,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
             kwargs["matrix"] = json_to_matrix(matrix, ctx)
         elif name == "ROT":
             _require(type(angle) in (int, float), ctx, f"bad angle {angle!r}")
+            _require(type(angle) is float or _finite(angle), ctx, "angle is too large for a float")
             kwargs["angle"] = float(angle)
         try:
             gates.append(Gate(name, tuple(qubits), **kwargs))
@@ -193,6 +219,7 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
     _check_qubits(n)  # before any 1 << n
     epsilon = data.get("epsilon")
     _require(type(epsilon) in (int, float) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
+    _require(type(epsilon) is float or _finite(epsilon), where, "epsilon is too large for a float")
     kind = data.get("kind", "quantum")
     N_max = data.get("N_max")
     _require(N_max is None or (type(N_max) in (int, float) and 0 < N_max < math.inf), where,

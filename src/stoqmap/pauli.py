@@ -42,13 +42,20 @@ _PHASE = np.array([1, 1j, -1, -1j])
 def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
     """The package's one Hermiticity test, for a sparse A or a dense A or stack of equal blocks.
 
-    A dense A is read over its last two axes. A caller's own tolerance
-    may loosen the rule, never tighten it below HERMITIAN_TOL.
+    max|A - A^dagger| may be at most tol times max(1, max|A|). A dense A
+    is read over its last two axes, and each matrix of a stack is held
+    to its own scale, so a small skewed block cannot hide behind a large
+    one. A caller's own tolerance may loosen the rule, never tighten it
+    below HERMITIAN_TOL.
     """
     if A.shape[-1] != A.shape[-2]:
         return False
-    adjoint = A.conj().T if sp.issparse(A) else np.swapaxes(A.conj(), -1, -2)
-    return abs(A - adjoint).max() <= max(tol, HERMITIAN_TOL) * max(1.0, abs(A).max())
+    tol = max(tol, HERMITIAN_TOL)
+    if sp.issparse(A):
+        return abs(A - A.conj().T).max() <= tol * max(1.0, abs(A).max())
+    axes = (-2, -1)
+    skew = np.abs(A - np.swapaxes(A.conj(), -1, -2)).max(axis=axes)
+    return bool(np.all(skew <= tol * np.maximum(1.0, np.abs(A).max(axis=axes))))
 
 
 def _check_qubits(qubits: int) -> None:

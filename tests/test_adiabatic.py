@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 
 from stoqmap import (
+    DENSE_CAP,
     ContractError,
     HamiltonianPath,
     LocalHamiltonian,
@@ -37,6 +38,7 @@ from stoqmap import (
 from stoqmap.spectra import DEGENERACY_TOL
 
 adiabatic = importlib.import_module("stoqmap.adiabatic")
+classify_module = importlib.import_module("stoqmap.classify")
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -225,6 +227,92 @@ def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
     argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", "32", "--steps", "64", "--shots", "256"]
     assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def counting_stacked_solves(monkeypatch):
+    """Shapes of the stacks evolve hands to classify._eigh."""
+    shapes = []
+
+    def counted(M, dense_cap, vectors=True, tol=classify_module.HERMITIAN_TOL):
+        shapes.append(M.shape)
+        return real(M, dense_cap, vectors, tol)
+
+    real = classify_module._eigh
+    monkeypatch.setattr(adiabatic, "_eigh", counted)
+    return shapes
+
+
+def test_batches_under_a_small_dense_cap_still_match_the_oracle(monkeypatch):
+    """dense_cap 64 lets a batch hold 64**2 // 436 = 9 of the 64-dimensional samples' blocks."""
+    path, initial, target = ff_schedule_path(ROT_CNOT_ROT), ff_initial(ROT_CNOT_ROT), history_state(ROT_CNOT_ROT, 0.5)
+    want, rows = full_register_evolve(path, 12.0, 64, initial, target)
+    searches = counting_component_searches(monkeypatch)
+    shapes = counting_stacked_solves(monkeypatch)
+    trace = evolve(path, 12.0, 64, initial, target=target, dense_cap=64)
+    assert len(searches) == 1
+    # 8 batches (7 of 9 steps, then 1), one stacked solve per block size in each
+    assert [shape[0] for shape in shapes] == [9] * 28 + [1] * 4
+    assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+    assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+
+
+def test_sample_skewed_only_at_the_last_midpoint_is_refused():
+    """The skewed sample shares its batch and pattern with Hermitian ones; its block is still refused."""
+    steps = 16
+    path = ff_schedule_path(ROT_CNOT_ROT)
+
+    def generator(u):
+        H = path.generator(u)
+        if u == (steps - 0.5) / steps:
+            rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+            H.data[np.flatnonzero(rows != H.indices)[0]] += 0.5  # one side of one coupling
+        return H
+
+    skewed = HamiltonianPath(generator, path.sector_projector, path.sector_label)
+    with pytest.raises(ContractError, match="not Hermitian"):
+        evolve(skewed, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
+    evolve(path, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
+
+
+def test_stack_blocks_are_held_to_their_own_scale():
+    big = 100.0 * np.eye(2)
+    skewed = np.array([[1.0, 1e-9], [0.0, 1.0]])  # skew 1e-9 at scale 1: above HERMITIAN_TOL
+    stack = np.stack([big, skewed])
+    # against the stack's largest entry the skew would pass
+    assert 1e-9 <= classify_module.HERMITIAN_TOL * np.abs(stack).max()
+    assert classify_module._is_hermitian(big)
+    assert not classify_module._is_hermitian(skewed)
+    assert not classify_module._is_hermitian(stack)
+    assert not classify_module._is_hermitian(stack[:, None])  # (2, 1, 2, 2), as evolve stacks steps
+    assert classify_module._is_hermitian(np.stack([big, np.eye(2)]))
+    with pytest.raises(ContractError, match="not Hermitian"):
+        classify_module._eigh(stack, 2)
+
+
+def per_step_evolve(path, T, steps, initial, target):
+    """evolve's propagation one step at a time: each sample's blocks solved alone, through _eigh."""
+    psi = np.asarray(initial, dtype=complex).copy()
+    overlaps = [abs(np.vdot(target, psi)) ** 2]
+    for k in range(steps):
+        H = classify_module._as_csr(path.generator((k + 0.5) / steps))
+        for idx, entries, slots in adiabatic._pattern_blocks(H):
+            b, m = idx.shape
+            stack = np.zeros(b * m * m, dtype=H.dtype)
+            stack[slots] = H.data[entries]
+            vals, vecs = classify_module._eigh(stack.reshape(b, m, m), DENSE_CAP)
+            amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * np.exp(-1j * vals * (T / steps))
+            psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
+        overlaps.append(abs(np.vdot(target, psi)) ** 2)
+    return psi, np.array(overlaps)
+
+
+@pytest.mark.parametrize("name", ["ff0", "ff1", "switched"])
+def test_batched_evolve_is_bitwise_the_per_step_loop(name):
+    path, initial, target, _ = oracle_case(name)
+    want, overlaps = per_step_evolve(path, 12.0, 64, initial, target)
+    trace = evolve(path, 12.0, 64, initial, target=target)
+    assert np.array_equal(trace.final_state, want)
+    assert np.array_equal(trace.overlaps, overlaps)
 
 
 def test_injected_legal_illegal_coupling_leaks_from_ff_path():

@@ -119,6 +119,10 @@ def test_hamiltonian_rejects_bad_fields_with_context():
         )
 
 
+# Python ints have no size limit, so a JSON integer can be too large for a float.
+HUGE = int("9" * 401)
+
+
 def test_circuit_round_trip_all_gate_kinds():
     swap = custom([0, 1], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     phase = custom([0], [[1.0, 0.0], [0.0, 1.0j]])
@@ -727,6 +731,33 @@ def test_cli_oversized_register_names_its_qubit_count(tmp_path, capsys):
             else:
                 assert f"error: {total} qubits exceed the 14-qubit realization cap" in err
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("hamiltonian", {"version": "1", "n": 1, "terms": [{"coeff": HUGE, "paulis": []}]},
+     ".terms[0]: coeff is too large for a float"),
+    ("circuit", {"version": "1", "n": 1, "gates": [{"name": "ROT", "qubits": [0], "angle": HUGE}]},
+     ".gates[0]: angle is too large for a float"),
+    ("sat instance", {"version": "1", "n": 1, "epsilon": HUGE,
+                      "operators": [{"terms": [{"coeff": 0.5, "paulis": []}]}]},
+     ": epsilon is too large for a float"),
+])
+def test_cli_integer_too_large_for_a_float_exits_two(tmp_path, capsys, kind, data, message):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run_command(LOADING_COMMANDS[kind] + [str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}{message}\n"
+
+
+def test_cli_integer_beyond_the_digit_limit_exits_two(tmp_path, capsys):
+    # json cannot even parse an integer longer than Python's int-to-str digit limit (4300 by default)
+    path = tmp_path / "long.json"
+    path.write_text('{"version": "1", "n": 1, "terms": [{"coeff": ' + "9" * 5000 + ', "paulis": []}]}',
+                    encoding="utf-8")
+    assert run_command(["ham", "check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: Exceeds the limit") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("action", ["decide", "reduce"])

@@ -20,11 +20,15 @@ from hypothesis import strategies as st
 from stoqmap import (
     DENSE_CAP,
     LocalHamiltonian,
+    QuantumCircuit,
     add_ancilla_penalty,
     build_matrix,
     classify,
+    cnot,
     random_instance,
+    rot,
     run_command,
+    save_circuit,
     save_hamiltonian,
     spectral_report,
     stochastize,
@@ -234,3 +238,14 @@ def test_each_command_makes_only_the_solves_its_report_reads(tmp_path, monkeypat
         calls.clear()
         assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
         assert calls == solves, argv
+
+
+def test_adiabatic_run_solves_each_block_size_once(tmp_path, monkeypatch):
+    """The clock-adiabatic workload's run: 64 steps, blocks of sizes 1, 4, 6 and 16, one stacked solve each."""
+    circuit = QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9)))
+    save_circuit(circuit, str(tmp_path / "c.json"))
+    calls = counted_solves(monkeypatch)
+    argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", "32", "--steps", "64", "--shots", "256",
+            "--seed", "7", "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 0
+    assert calls == [(True, 4)] * 4
