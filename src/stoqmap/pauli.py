@@ -53,9 +53,9 @@ def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
     tol = max(tol, HERMITIAN_TOL)
     if sp.issparse(A):
         return abs(A - A.conj().T).max() <= tol * max(1.0, abs(A).max())
+    adjoint = np.swapaxes(A.conj(), -1, -2)
     axes = (-2, -1)
-    skew = np.abs(A - np.swapaxes(A.conj(), -1, -2)).max(axis=axes)
-    return bool(np.all(skew <= tol * np.maximum(1.0, np.abs(A).max(axis=axes))))
+    return bool(np.all(abs(A - adjoint).max(axis=axes) <= tol * np.maximum(1.0, abs(A).max(axis=axes))))
 
 
 def _check_qubits(qubits: int) -> None:
