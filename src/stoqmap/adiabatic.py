@@ -18,9 +18,9 @@ import scipy.sparse as sp
 
 from . import mapping
 from .classify import _as_csr, _check_dense_cap, _eigh
-from .clock import ClockTerm, FFHamiltonian, QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
+from .clock import QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
 from .errors import ContractError
-from .pauli import DENSE_CAP, _csr_entries
+from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _sum_terms
 from .spectra import DEGENERACY_TOL
 
 
@@ -35,7 +35,6 @@ class HamiltonianPath:
 
     generator: Callable[[float], sp.spmatrix]
     sector_projector: sp.spmatrix | None = None
-    sector_label: str | None = None
 
 
 def linear_interpolation_path(Ha, Hb) -> HamiltonianPath:
@@ -50,32 +49,38 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     """The clock path H^FF(s(u)) with s(u) = u/2.
 
     H^FF(s) = K + s A + (1-s) B - sqrt(s(1-s)) C: K sums the pin, clock and
-    init terms, A, B, C the propagation terms' lo, hi and hop pieces. The
-    four are built once on one CSR pattern; each sample is one axpy.
+    init terms, A, B, C the propagation terms' lo, hi and hop pieces. Every
+    piece is embedded once; the four parts are summed onto one CSR pattern,
+    the union of their stored entries, so each sample is one axpy.
 
     Every H^FF(s) preserves the span of the legal clock configurations,
     so that span is tracked as the protected sector. Its projector B B^dagger
     (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
     columns of B at one clock time are a unitary image of the work basis.
     """
-    ff = FFHamiltonian(circuit, 0.0, _fixed_terms(circuit))  # K's terms only, on the clock register
-    clocks = [clock_state_index(t, ff.L) for t in range(ff.L + 1)]
-    legal = (np.arange(1 << ff.n)[:, None] * (1 << (ff.L + 1)) + clocks).ravel()
-    projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(ff.dim, ff.dim))
+    fixed = [(t.qubits, t.local) for t in _fixed_terms(circuit)]  # checks the register first
     props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
-    parts = [ff.realize()]
-    parts += [ff._sum(ClockTerm("prop", p[0], p[i]) for p in props) for i in (1, 2, 3)]
-    pattern = _as_csr(sum(abs(M) for M in parts))
-    rows, cols, _ = _csr_entries(pattern)
-    slots = rows * ff.dim + cols  # increasing, since the pattern's indices are sorted
+    n, L = circuit.n, circuit.L
+    dim = 1 << (n + L + 1)
+    clocks = [clock_state_index(t, L) for t in range(L + 1)]
+    legal = (np.arange(1 << n)[:, None] * (1 << (L + 1)) + clocks).ravel()
+    projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(dim, dim))
+    parts = [[_embed_entries(local, qubits, n + L + 1) for qubits, local in pieces]  # K, A, B and C
+             for pieces in [fixed] + [[(p[0], p[i]) for p in props] for i in (1, 2, 3)]]
+    rows, cols, vals = ([np.concatenate([e[i] for e in part]) for part in parts] for i in range(3))
+    # No part cancels anywhere (K, A and B are nonnegative diagonals, and no two hop
+    # entries share a position), so ones mark exactly the union of the four patterns.
+    pattern = _sum_terms(dim, [(1.0, r, c, np.ones(r.size)) for r, c in zip(rows, cols)])
+    pattern_rows, pattern_cols, _ = _csr_entries(pattern)
+    slots = pattern_rows * dim + pattern_cols  # increasing, since the pattern's indices are sorted
+    at = np.split(np.searchsorted(slots, np.concatenate(rows) * dim + np.concatenate(cols)),
+                  np.cumsum([r.size for r in rows])[:-1])  # each entry's slot, part by part
 
-    def aligned(M) -> np.ndarray:
-        rows, cols, vals = _csr_entries(M)
-        values = np.zeros(pattern.nnz, dtype=M.dtype)
-        values[np.searchsorted(slots, rows * ff.dim + cols)] = vals
-        return values
+    def summed(where: np.ndarray, v: np.ndarray) -> np.ndarray:  # one part's values on the pattern
+        out = np.bincount(where, v.real, minlength=pattern.nnz)
+        return out + 1j * np.bincount(where, v.imag, minlength=pattern.nnz) if np.iscomplexobj(v) else out
 
-    k, a, b, c = (aligned(M) for M in parts)
+    k, a, b, c = (summed(where, v) for where, v in zip(at, vals))
 
     def generator(u: float) -> sp.csr_matrix:
         if not (0.0 <= u <= 1.0):
@@ -84,7 +89,7 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
         data = k + s * a + (1.0 - s) * b - float(np.sqrt(s * (1.0 - s))) * c
         return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
 
-    return HamiltonianPath(generator=generator, sector_projector=projector, sector_label="legal")
+    return HamiltonianPath(generator=generator, sector_projector=projector)
 
 
 def stoquastic_interpolation_path(Ha, Hb) -> HamiltonianPath:
@@ -101,11 +106,7 @@ def stoquastic_interpolation_path(Ha, Hb) -> HamiltonianPath:
     def gen(u: float) -> sp.csr_matrix:
         return mapping.stoquastize(Ha.scaled(1.0 - u) + Hb.scaled(u)).realize()
 
-    return HamiltonianPath(
-        generator=gen,
-        sector_projector=mapping.sector_projector(n, mapping.MINUS),
-        sector_label="-",
-    )
+    return HamiltonianPath(generator=gen, sector_projector=mapping.sector_projector(n, mapping.MINUS))
 
 
 @dataclass(eq=False)
@@ -202,14 +203,14 @@ def evolve(
     T: float,
     steps: int,
     initial: np.ndarray,
-    target: str | np.ndarray | Callable[[float], np.ndarray] | None = "ground",
+    target: str | np.ndarray | None = "ground",
     dense_cap: int = DENSE_CAP,
 ) -> AdiabaticTrace:
     """Piecewise-constant propagation of `initial` along the path.
 
     target "ground" tracks the population of the instantaneous ground
     eigenspace (eigenvalues within a degeneracy window of the minimum);
-    a vector or a callable u -> vector tracks |<target|psi>|^2 instead.
+    a vector tracks |<target|psi>|^2 instead.
 
     Each step propagates the midpoint sample block by block (see
     _pattern_blocks). The samples do not depend on the state, so they are
@@ -234,8 +235,7 @@ def evolve(
             vals, vecs = _eigh(path.generator(u), dense_cap)
             ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
             return float(np.linalg.norm(ground.conj().T @ state) ** 2)
-        vec = target(u) if callable(target) else np.asarray(target)
-        return float(abs(np.vdot(vec, state)) ** 2)
+        return float(abs(np.vdot(target, state)) ** 2)
 
     samples = steps + 1
     times = np.linspace(0.0, T, samples)

@@ -286,11 +286,10 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
             raise ContractError("terms act on different register sizes")
         if not H.num_terms:
             raise ContractError("empty term has no normalization")
-        block = H
-        if 1 << n > DENSE_CAP:  # check psd on the term's support, not by ARPACK over the register
-            used = int(np.bitwise_or.reduce(H.x | H.z))
-            order = sorted(range(n), key=lambda q: not used >> q & 1)
-            block = remap_qubits(H, np.argsort(order), max(used.bit_count(), 1))
+        # psd is checked on the term's support: H is that block (x) 1 on the rest of the register
+        used = int(np.bitwise_or.reduce(H.x | H.z))
+        order = sorted(range(n), key=lambda q: not used >> q & 1)
+        block = remap_qubits(H, np.argsort(order), max(used.bit_count(), 1))
         if _min_eigenvalue(build_matrix(block), DENSE_CAP) < -FF_PSD_FLOOR:
             raise ContractError("input term is not positive semidefinite")
     use_z4 = not all(H.has_real_entries() for H in terms)

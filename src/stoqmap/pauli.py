@@ -235,7 +235,7 @@ def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.
 
 
 def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of embed(local, qubits, n)."""
+    """(rows, cols, vals) of embed(local, qubits, n), read off the nonzeros of the dense local matrix."""
     qubits = tuple(int(q) for q in qubits)
     k = len(qubits)
     if len(set(qubits)) != k:
@@ -243,9 +243,10 @@ def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np
     for q in qubits:
         if q < 0 or q >= n:
             raise ContractError(f"qubit {q} out of range for n={n}")
-    local = sp.coo_matrix(local)
+    local = np.asarray(local.toarray() if sp.issparse(local) else local)
     if local.shape != (1 << k, 1 << k):
         raise ContractError(f"local matrix shape {local.shape} does not match {k} qubits")
+    nonzero = np.nonzero(local)
     target_pos = [n - 1 - q for q in qubits]
     rest_pos = [p for p in range(n - 1, -1, -1) if p not in target_pos]
     nrest = len(rest_pos)
@@ -261,11 +262,10 @@ def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np
             out |= ((v >> (k - 1 - j)) & 1) << pos
         return out
 
-    lrows = scatter_local(local.row.astype(np.int64))
-    lcols = scatter_local(local.col.astype(np.int64))
+    lrows, lcols = (scatter_local(i.astype(np.int64)) for i in nonzero)
     rows = (lrows[:, None] | rest_scatter[None, :]).ravel()
     cols = (lcols[:, None] | rest_scatter[None, :]).ravel()
-    return rows, cols, np.repeat(local.data, 1 << nrest)
+    return rows, cols, np.repeat(local[nonzero], 1 << nrest)
 
 
 def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> LocalHamiltonian:

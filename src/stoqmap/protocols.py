@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _eigh, classify
-from .errors import ContractError, ResourceError
+from .classify import _check_dense_cap, _eigh, classify
+from .errors import ContractError
 from .pauli import (
     DENSE_CAP, LocalHamiltonian, _check_qubits, _csr_entries, _factor_masks, _sum_terms, build_matrix,
     pauli_decompose,
@@ -258,8 +258,7 @@ def antisym_projector(d: int, c: int, dense_cap: int = DENSE_CAP) -> sp.csr_matr
     if c > d:
         raise ContractError(f"antisymmetric subspace of c={c} copies of dimension {d} is empty")
     dim = d**c
-    if dim > dense_cap:
-        raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
+    _check_dense_cap(dim, dense_cap)
     radix = d ** np.arange(c - 1, -1, -1)
     idx = np.arange(dim)
     digits = (idx[:, None] // radix[None, :]) % d
@@ -315,9 +314,7 @@ def acceptance_operator(
     if isinstance(H, LocalHamiltonian):
         H = build_matrix(H)
     d = np.shape(H)[0]
-    dim = d**c
-    if dim > dense_cap:
-        raise ResourceError(f"need dimension {dim}, above the dense cap {dense_cap}")
+    _check_dense_cap(d**c, dense_cap)
     vals, vecs = _eigh(H, dense_cap)
     low = vecs[:, vals <= threshold]
     E = low @ low.conj().T

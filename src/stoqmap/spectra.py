@@ -124,12 +124,13 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
     if A.shape[0] > dense_cap or A.shape[0] != A.shape[1]:
         return _classify(A, tol, dense_cap), None
     flags = _classify(A, tol, dense_cap, 0.0)  # psd = hermitian until the lowest eigenvalue is known
-    perron = flags.symmetric and flags.column_stochastic
-    spec = eig_dense(A, dense_cap=dense_cap, compute_vectors=compute_vectors and perron)
-    if flags.hermitian and spec.method != "dense":  # tol-Hermitian A that eig_dense solved as general
-        return _classify(A, tol, dense_cap), spec
-    # eig_dense's Hermitian branch already found the lowest eigenvalue
-    return replace(flags, psd=flags.hermitian and float(spec.eigenvalues[0]) >= -tol), spec
+    vectors = compute_vectors and flags.symmetric and flags.column_stochastic
+    if not flags.hermitian:
+        return flags, eig_dense(A, dense_cap=dense_cap, compute_vectors=vectors)
+    # Hermitian within tol, so the solve is held to tol too and gives the lowest eigenvalue
+    out = _eigh(A, dense_cap, vectors=vectors, tol=tol)
+    vals, vecs = out if vectors else (out, None)
+    return replace(flags, psd=float(vals[0]) >= -tol), Spectrum(vals, vecs, None, "dense")
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:

@@ -145,7 +145,7 @@ def legal_coupling(circuit, eps):
     legal = clock_state_index(0, circuit.L)
     illegal = next(i for i in range(path.sector_projector.shape[0]) if path.sector_projector[i, i] == 0)
     coupling = sp.csr_matrix(([eps, eps], ([legal, illegal], [illegal, legal])), shape=path.sector_projector.shape)
-    return HamiltonianPath(lambda u: path.generator(u) + coupling, path.sector_projector, path.sector_label)
+    return HamiltonianPath(lambda u: path.generator(u) + coupling, path.sector_projector)
 
 
 def switched_path(circuit):
@@ -154,7 +154,7 @@ def switched_path(circuit):
     a, b = clock_state_index(0, circuit.L), path.sector_projector.shape[0] - 1
     extra = sp.csr_matrix(([0.3, 0.3], ([a, b], [b, a])), shape=path.sector_projector.shape)
     return HamiltonianPath(lambda u: path.generator(u) + extra if 0.25 <= u < 0.75 else path.generator(u),
-                           path.sector_projector, path.sector_label)
+                           path.sector_projector)
 
 
 def imaginary_path():
@@ -268,7 +268,7 @@ def test_sample_skewed_only_at_the_last_midpoint_is_refused():
             H.data[np.flatnonzero(rows != H.indices)[0]] += 0.5  # one side of one coupling
         return H
 
-    skewed = HamiltonianPath(generator, path.sector_projector, path.sector_label)
+    skewed = HamiltonianPath(generator, path.sector_projector)
     with pytest.raises(ContractError, match="not Hermitian"):
         evolve(skewed, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
     evolve(path, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
@@ -455,7 +455,6 @@ def test_injected_sector_coupling_leaks():
     noisy = HamiltonianPath(
         generator=lambda u: clean.generator(u) + 1e-3 * coupler,
         sector_projector=clean.sector_projector,
-        sector_label=clean.sector_label,
     )
     init = np.kron(np.array([1.0, 0.0, 0.0, 0.0]), MINUS)
     trace = evolve(noisy, T=5.0, steps=50, initial=init, target=None)

@@ -2,7 +2,8 @@
 every dense eigensolve goes through one function, and so does every JSON write
 and every canonicalization of a sparse matrix.
 Pauli strings are realized and decomposed from the packed form, never one
-Kronecker product at a time."""
+Kronecker product at a time, and local matrices are embedded from their
+dense nonzeros, never through a scipy COO object per term."""
 
 import ast
 from pathlib import Path
@@ -101,4 +102,11 @@ def test_pauli_and_mapping_use_no_kron_or_product_loops():
             elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "itertools"):
                 found += [f"{name}:{node.lineno} from {node.module} import {a.name}"
                           for a in node.names if (node.module, a.name) in BANNED]
+    assert not found, found
+
+
+def test_no_coo_matrix_named_in_src():
+    found = [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if "coo_matrix" in line]
     assert not found, found

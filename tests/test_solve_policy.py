@@ -212,6 +212,17 @@ def test_two_component_doubly_stochastic_top_space_is_degenerate():
     assert_report_close(report, *full_eigh_report(M))
 
 
+def test_input_hermitian_only_within_tol_is_solved_once(monkeypatch):
+    """Skew 1e-8 passes tol = 1e-6 but not HERMITIAN_TOL: one Hermitian solve held to tol, no general eig."""
+    M = np.array([[1.0, 0.5 + 1e-8], [0.5, 1.0]])  # psd, and nothing on the diagonal decides it
+    calls = counted_solves(monkeypatch)
+    report = spectral_report(M, tol=1e-6)
+    assert calls == [(False, 2)]
+    assert report.flags.hermitian and report.flags.psd and report.method == "dense"
+    assert report.eigenvalues.dtype == float
+    assert abs(report.ground_energy - 0.5) <= 1e-7 and abs(report.top_eigenvalue - 1.5) <= 1e-7
+
+
 def test_each_command_makes_only_the_solves_its_report_reads(tmp_path, monkeypatch):
     calls = counted_solves(monkeypatch)
     generic = tmp_path / "generic.json"
