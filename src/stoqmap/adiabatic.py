@@ -20,7 +20,7 @@ from . import mapping
 from .classify import _as_csr, _check_dense_cap, _eigh
 from .clock import QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
 from .errors import ContractError
-from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _sum_terms
+from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _scatter_sum, _sum_terms
 from .spectra import DEGENERACY_TOL
 
 
@@ -75,12 +75,7 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
     slots = pattern_rows * dim + pattern_cols  # increasing, since the pattern's indices are sorted
     at = np.split(np.searchsorted(slots, np.concatenate(rows) * dim + np.concatenate(cols)),
                   np.cumsum([r.size for r in rows])[:-1])  # each entry's slot, part by part
-
-    def summed(where: np.ndarray, v: np.ndarray) -> np.ndarray:  # one part's values on the pattern
-        out = np.bincount(where, v.real, minlength=pattern.nnz)
-        return out + 1j * np.bincount(where, v.imag, minlength=pattern.nnz) if np.iscomplexobj(v) else out
-
-    k, a, b, c = (summed(where, v) for where, v in zip(at, vals))
+    k, a, b, c = (_scatter_sum(where, v, pattern.nnz) for where, v in zip(at, vals))  # the parts on the pattern
 
     def generator(u: float) -> sp.csr_matrix:
         if not (0.0 <= u <= 1.0):
@@ -139,13 +134,13 @@ def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.n
     order = np.lexsort((np.arange(dim), labels, size))  # by component size, then component, then index
     where = np.empty(dim, dtype=np.intp)
     where[order] = np.arange(dim)
-    rows = np.repeat(np.arange(dim), np.diff(H.indptr))
+    rows, cols, _ = _csr_entries(H)
     groups = []
     start = 0
     for m in np.unique(size):
         stop = start + np.count_nonzero(size == m)
         entries = np.flatnonzero(size[rows] == m)
-        r, c = where[rows[entries]] - start, where[H.indices[entries]] - start
+        r, c = where[rows[entries]] - start, where[cols[entries]] - start
         groups.append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
         start = stop
     return groups

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian
+from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian, _scatter_sum
 
 DEFAULT_TOL = 1e-10
 
@@ -74,19 +74,35 @@ def _eigh(M, dense_cap: int, vectors: bool = True, tol: float = HERMITIAN_TOL):
     return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
 
 
+def _residuals(A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    R = A @ vecs - vecs * vals[np.newaxis, :]
+    return np.linalg.norm(R, axis=0)
+
+
+def _eigsh(A: sp.csr_matrix, k: int, which: str, v0: np.ndarray, tol: float):
+    """The one iterative Hermitian eigensolve: the k "lowest" or "highest" eigenpairs of A, ascending.
+
+    ARPACK's implicitly restarted Lanczos from v0, to relative accuracy
+    tol (0: machine precision). When it gives up, the ConvergenceError
+    carries the smallest residual among the pairs it returned.
+    """
+    try:
+        vals, vecs = spla.eigsh(A, k=k, which={"lowest": "SA", "highest": "LA"}[which], v0=v0, tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        best = float(np.min(_residuals(A, exc.eigenvalues, exc.eigenvectors))) if len(exc.eigenvalues) else None
+        raise ConvergenceError(f"eigsh failed to converge for k={k}, which={which!r}", best_residual=best) from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def _min_eigenvalue(A: sp.csr_matrix, dense_cap: int, tol: float = HERMITIAN_TOL) -> float:
     dim = A.shape[0]
     if dim <= dense_cap:
         return float(_eigh(A, dense_cap, vectors=False, tol=tol)[0])
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    try:
-        vals = spla.eigsh(A, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError("smallest-eigenvalue iteration did not converge") from exc
-    return float(vals[0])
+    return float(_eigsh(A, 1, "lowest", np.full(dim, 1.0 / np.sqrt(dim)), 0)[0][0])
 
 
-def _diagonal_may_square_to_itself(A: sp.csr_matrix, tol: float, skew: float) -> bool:
+def _diagonal_may_square_to_itself(A: sp.csr_matrix, rows: np.ndarray, tol: float, skew: float) -> bool:
     """False only when A @ A - A certainly has a diagonal entry above tol; O(nnz), no product.
 
     For A within skew = max|A - A^dagger| of Hermitian, (A^2)_ii differs
@@ -95,9 +111,9 @@ def _diagonal_may_square_to_itself(A: sp.csr_matrix, tol: float, skew: float) ->
     answers for the product. Row sums over A's stored entries cost far
     less than sparse products on the small matrices classify mostly sees.
     A must be canonical (see _as_csr): |a + b|^2 is not |a|^2 + |b|^2.
+    rows holds each stored entry's row, as _csr_entries gives it.
     """
     dim = A.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(A.indptr))
     mag = np.abs(A.data)
     square_diag = np.bincount(rows, mag * mag, minlength=dim)
     row_l1 = np.bincount(rows, mag, minlength=dim)
@@ -137,15 +153,14 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
     )
     stoquastic = hermitian and off_ok
 
-    def sums(index):  # column (index=cols) or row (index=rows) sums, read only where they can matter
-        out = np.bincount(index, data.real, minlength=A.shape[0])
-        return out + 1j * np.bincount(index, data.imag, minlength=A.shape[0]) if complex_entries else out
+    def unit_sums(index):  # column (index=cols) or row (index=rows) sums, read only where they can matter
+        return bool(np.max(np.abs(_scatter_sum(index, data, A.shape[0]) - 1.0)) <= tol)
 
-    column_stochastic = nonneg and bool(np.max(np.abs(sums(cols) - 1.0)) <= tol)
-    doubly_stochastic = column_stochastic and bool(np.max(np.abs(sums(rows) - 1.0)) <= tol)
+    column_stochastic = nonneg and unit_sums(cols)
+    doubly_stochastic = column_stochastic and unit_sums(rows)
     permutation = doubly_stochastic and bool(np.all((np.abs(data) <= tol) | (np.abs(data - 1.0) <= tol)))
 
-    projector = hermitian and _diagonal_may_square_to_itself(A, tol, skew) and _max_abs(A @ A - A) <= tol
+    projector = hermitian and _diagonal_may_square_to_itself(A, rows, tol, skew) and _max_abs(A @ A - A) <= tol
     if hermitian and lowest is None:
         lowest = float(A.diagonal().real.min())
         if lowest >= -tol:

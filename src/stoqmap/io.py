@@ -279,7 +279,7 @@ def spectral_report_to_data(report: SpectralReport) -> dict:
         "perron_top_is_one": report.perron_top_is_one,
         "perron_uniform_overlap": report.perron_uniform_overlap,
         "flags": report.flags.as_dict(),
-        "eigenvalues": None if report.eigenvalues is None else [float(v) for v in report.eigenvalues],
+        "eigenvalues": None if report.eigenvalues is None else report.eigenvalues.tolist(),
         "method": report.method,
     }
 

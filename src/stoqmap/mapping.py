@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from .classify import _max_abs, _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _phase_matrix, _sum_terms,
-    _term_phases, build_matrix, remap_qubits,
+    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _phase_matrix, _scatter_sum,
+    _sum_terms, _term_phases, build_matrix, remap_qubits,
 )
 from .spectra import eig_dense
 
@@ -121,9 +121,7 @@ class MappedHamiltonian:
         m, d = 1 << self.ancilla_count, 1 << self.n
         i, j, w = self._sector_entries(realized)
         flat = (np.arange(m)[:, None] * d * d + i * d + j).ravel()
-        stack = np.bincount(flat, w.real.ravel(), minlength=m * d * d)
-        if np.iscomplexobj(w):
-            stack = stack + 1j * np.bincount(flat, w.imag.ravel(), minlength=m * d * d)
+        stack = _scatter_sum(flat, w.ravel(), m * d * d)
         idx = np.arange(self.dim)
         S = sp.csr_matrix((np.ones(self.dim), (idx - idx % m + (idx % m - 1) % m, idx)),
                           shape=(self.dim, self.dim))

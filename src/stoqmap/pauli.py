@@ -90,6 +90,12 @@ def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, A.indices, A.data
 
 
+def _scatter_sum(index: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of vals[t] over index[t] == i, for i < size; complex only when vals is."""
+    out = np.bincount(index, vals.real, minlength=size)
+    return out + 1j * np.bincount(index, vals.imag, minlength=size) if np.iscomplexobj(vals) else out
+
+
 def _factor_masks(factors: Mapping[int, str] | Iterable[tuple[int, str]]) -> tuple[int, int]:
     """(x, z) masks of one Pauli string given as {qubit: label} or (qubit, label) pairs.
 

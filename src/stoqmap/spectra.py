@@ -11,10 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _eigh
-from .errors import ContractError, ConvergenceError, ResourceError
+from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _eigsh, _residuals
+from .errors import ContractError, ResourceError
 from .pauli import DENSE_CAP, _is_hermitian
 
 # Eigenvalues closer than this are reported as one multiplet.
@@ -40,11 +39,6 @@ class SpectralReport:
     flags: MatrixClassFlags
     eigenvalues: np.ndarray | None
     method: str
-
-
-def _residuals(A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    R = A @ vecs - vecs * vals[np.newaxis, :]
-    return np.linalg.norm(R, axis=0)
 
 
 def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Spectrum:
@@ -74,44 +68,22 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
     return Spectrum(vals, vecs, res, method)
 
 
-def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0,
-                 maxiter: int | None = None) -> Spectrum:
-    """k extremal eigenpairs of a Hermitian matrix, seeded and iterative."""
+def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0) -> Spectrum:
+    """k extremal ("lowest" or "highest") eigenpairs of a Hermitian matrix, seeded and iterative."""
     A = _as_csr(M)
     dim = A.shape[0]
     if k < 1:
         raise ContractError("k must be at least 1")
-    modes = {"lowest": "SA", "highest": "LA", "largest_magnitude": "LM"}
-    if which not in modes:
-        raise ContractError(f"unknown mode {which!r}; expected one of {sorted(modes)}")
+    if which not in ("lowest", "highest"):
+        raise ContractError(f"unknown mode {which!r}; expected 'highest' or 'lowest'")
     if k >= dim - 1:  # the dense gate tests Hermiticity itself
         vals, vecs = _eigh(A, DENSE_CAP)
-        if which == "lowest":
-            idx = np.arange(min(k, dim))
-        elif which == "highest":
-            idx = np.arange(max(dim - k, 0), dim)
-        else:
-            idx = np.argsort(np.abs(vals))[::-1][:k]
-            idx = np.sort(idx)
+        idx = np.arange(min(k, dim)) if which == "lowest" else np.arange(max(dim - k, 0), dim)
         vals, vecs = vals[idx], vecs[:, idx]
         return Spectrum(vals, vecs, _residuals(A, vals, vecs), "dense")
     if not _is_hermitian(A):
         raise ContractError("eig_extremal expects a Hermitian matrix")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(A, k=k, which=modes[which], v0=v0, tol=tol, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        best = None
-        if getattr(exc, "eigenvalues", None) is not None and len(exc.eigenvalues):
-            part_vals = np.asarray(exc.eigenvalues)
-            part_vecs = np.asarray(exc.eigenvectors)
-            best = float(np.min(_residuals(A, part_vals, part_vecs)))
-        raise ConvergenceError(
-            f"eigsh failed to converge for k={k}, which={which!r}", best_residual=best
-        ) from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _eigsh(A, k, which, np.random.default_rng(seed).standard_normal(dim), tol)
     return Spectrum(vals, vecs, _residuals(A, vals, vecs), "iterative")
 
 
@@ -134,54 +106,46 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
-    """Classify a matrix and assemble its extremal spectral data."""
+    """Classify a matrix and assemble its extremal spectral data.
+
+    Each branch yields the edge eigenvalues (ascending, each eigenvalue
+    once: the whole spectrum under the dense cap, the two lowest and the
+    two highest above it), the vectors of the highest ones and the method
+    that ran. Every report field is then read once from those.
+    """
     A = _as_csr(M)
     dim = A.shape[0]
     if dim <= dense_cap:
         flags, spec = _flags_and_spectrum(A, tol, dense_cap)
-        vals = np.real_if_close(spec.eigenvalues, tol=1000)
-        vals_r = np.asarray(vals.real if np.iscomplexobj(vals) else vals, dtype=float)
-        ground = float(vals_r[0])
-        gap = float(vals_r[1] - vals_r[0]) if dim > 1 else None
-        top = float(vals_r[-1])
-        mags = np.sort(np.abs(np.asarray(spec.eigenvalues)))[::-1]
-        second_mag = float(mags[1]) if dim > 1 else None
-        full_vals = vals_r
-        vecs = spec.eigenvectors
-        method = "dense"
+        edge, top_vecs, method = spec.eigenvalues, spec.eigenvectors, spec.method
     else:
         lo = eig_extremal(A, k=2, which="lowest", tol=tol, seed=seed)
         hi = eig_extremal(A, k=2, which="highest", tol=tol, seed=seed)
         flags = _classify(A, tol, dense_cap, float(lo.eigenvalues[0]))
-        ground = float(lo.eigenvalues[0])
-        gap = float(lo.eigenvalues[1] - lo.eigenvalues[0])
-        top = float(hi.eigenvalues[-1])
-        edge = np.concatenate([lo.eigenvalues, hi.eigenvalues])
-        mags = np.sort(np.abs(edge))[::-1]
-        second_mag = float(mags[1])
-        full_vals = None
-        vecs = hi.eigenvectors
-        method = "iterative"
+        edge = np.concatenate([lo.eigenvalues, hi.eigenvalues[max(4 - dim, 0):]])  # dim <= 3: the pairs overlap
+        top_vecs, method = hi.eigenvectors, "iterative"
+    vals = np.real_if_close(edge, tol=1000)
+    vals_r = np.asarray(vals.real if np.iscomplexobj(vals) else vals, dtype=float)
+    top = float(vals_r[-1])
+    mags = np.sort(np.abs(edge))[::-1]
 
     perron_top = None
     perron_overlap = None
-    if flags.column_stochastic and flags.symmetric:
+    if flags.column_stochastic and flags.symmetric:  # real symmetric, so top_vecs were computed
         perron_top = bool(abs(top - 1.0) <= max(tol, 1e-9))
         u = np.full(dim, 1.0 / np.sqrt(dim))
-        if method == "dense" and vecs is not None:
-            top_space = vecs[:, np.abs(full_vals - top) <= DEGENERACY_TOL]
-        else:
-            top_space = vecs[:, np.abs(hi.eigenvalues - top) <= DEGENERACY_TOL]
+        top_vals = vals_r[vals_r.size - top_vecs.shape[1]:]  # the eigenvalues of top_vecs
+        top_space = top_vecs[:, np.abs(top_vals - top) <= DEGENERACY_TOL]
         perron_overlap = float(np.linalg.norm(top_space.conj().T @ u))
 
     return SpectralReport(
-        ground_energy=ground,
-        spectral_gap=gap,
+        ground_energy=float(vals_r[0]),
+        spectral_gap=float(vals_r[1] - vals_r[0]) if dim > 1 else None,
         top_eigenvalue=top,
-        second_largest_magnitude=second_mag,
+        second_largest_magnitude=float(mags[1]) if dim > 1 else None,
         perron_top_is_one=perron_top,
         perron_uniform_overlap=perron_overlap,
         flags=flags,
-        eigenvalues=full_vals,
+        eigenvalues=vals_r if method != "iterative" else None,
         method=method,
     )

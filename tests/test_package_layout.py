@@ -1,6 +1,6 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
-every dense eigensolve goes through one function, and so does every JSON write
-and every canonicalization of a sparse matrix.
+every dense eigensolve goes through one function, and so does every
+iterative eigensolve, every JSON write and every canonicalization of a sparse matrix.
 Pauli strings are realized and decomposed from the packed form, never one
 Kronecker product at a time, and local matrices are embedded from their
 dense nonzeros, never through a scipy COO object per term."""
@@ -10,9 +10,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stoqmap"
 SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR", "MAX_QUBITS",
-          "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_factor_masks", "_is_hermitian", "_term_phases")
-# Each dense LAPACK eigensolver may be named only inside its one gate (module.function).
+          "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_eigsh", "_factor_masks", "_is_hermitian", "_scatter_sum",
+          "_term_phases")
+# Each LAPACK or ARPACK eigensolver may be named only inside its one gate (module.function).
 SOLVER_HOMES = {
+    "eigsh": "classify._eigsh",
     "eigh": "classify._eigh",
     "eigvalsh": "classify._eigh",
     "eig": "spectra.eig_dense",

@@ -36,6 +36,7 @@ from stoqmap import (
     stoquastize,
 )
 from stoqmap.mapping import MappedHamiltonian
+from stoqmap.pauli import _csr_entries
 
 cli = importlib.import_module("stoqmap.cli")
 classify_module = importlib.import_module("stoqmap.classify")
@@ -206,7 +207,7 @@ def test_projector_flag_on_permutations(perm, diagonal_passes):
     # a 2-cycle puts 1 on the diagonal of P^2 where P has 0; a 4-cycle is too far from Hermitian to tell
     P = sp.csr_matrix((np.ones(4), (np.array(perm), np.arange(4))), shape=(4, 4))
     skew = classify_module._max_abs(P - P.getH())
-    assert classify_module._diagonal_may_square_to_itself(P, TOL, skew) == diagonal_passes
+    assert classify_module._diagonal_may_square_to_itself(P, _csr_entries(P)[0], TOL, skew) == diagonal_passes
     assert classify(P, tol=TOL).projector == product_test(P) == (perm == (0, 1, 2, 3))
 
 
@@ -215,7 +216,7 @@ def test_projector_flag_when_only_the_off_diagonal_fails(signs):
     # diag(A^2) = diag(A) = 1/2, yet (A^2)_01 = A_01 + A_02 A_21 != A_01
     x, y, z = np.array(signs) / np.sqrt(8.0)
     M = sp.csr_matrix(np.array([[0.5, x, y], [x, 0.5, z], [y, z, 0.5]]))
-    assert classify_module._diagonal_may_square_to_itself(M, TOL, 0.0)
+    assert classify_module._diagonal_may_square_to_itself(M, _csr_entries(M)[0], TOL, 0.0)
     assert not product_test(M)
     assert not classify(M, tol=TOL).projector
 

@@ -9,6 +9,7 @@ generated inputs, and the number of dense solves each command makes is
 counted through run_command.
 """
 
+import csv
 import importlib
 
 import numpy as np
@@ -22,6 +23,7 @@ from stoqmap import (
     LocalHamiltonian,
     QuantumCircuit,
     add_ancilla_penalty,
+    block_matrix,
     build_matrix,
     classify,
     cnot,
@@ -260,3 +262,23 @@ def test_adiabatic_run_solves_each_block_size_once(tmp_path, monkeypatch):
             "--seed", "7", "--out", str(tmp_path / "r.json")]
     assert run_command(argv) == 0
     assert calls == [(True, 4)] * 4
+
+
+def test_gap_scan_solves_each_block_length_once(tmp_path, monkeypatch):
+    """The clock-adiabatic workload's gap-scan: one stacked solve per L, of both blocks at every s."""
+    calls = counted_solves(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert run_command(["clock", "gap-scan", "--Lmin", "1", "--Lmax", "6", "--out", str(out)]) == 0
+    assert calls == [(False, 3)] * 6
+    # the same values as one solve per block, bit for bit
+    with open(out, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 18
+    for row in rows:
+        L, s = int(row["L"]), float(row["s"])
+        assert float(row["block_gap_measured"]) == block_matrix(0, s, L).spectrum()[1]
+        assert float(row["full_gap_measured"]) == block_matrix(1, s, L).spectrum()[0]
+    # a block above the dense cap is refused before any block is built
+    calls.clear()
+    assert run_command(["clock", "gap-scan", "--Lmin", "1", "--Lmax", str(DENSE_CAP), "--out", str(out)]) == 2
+    assert calls == []
