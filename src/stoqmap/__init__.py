@@ -37,7 +37,6 @@ from .mapping import (
     SectorDecomposition,
     add_ancilla_penalty,
     add_penalty_complex,
-    sector_projector,
     sector_spectrum,
     sector_vector_z4,
     stochastize,
@@ -70,9 +69,9 @@ from .adiabatic import (
     AdiabaticTrace,
     HamiltonianPath,
     MeasurementReport,
+    PathPiece,
     evolve,
     ff_schedule_path,
-    linear_interpolation_path,
     measure_and_decode,
     sector_leakage,
     stoquastic_interpolation_path,
@@ -114,97 +113,3 @@ from .io import (
 from .cli import main, run_command
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcceptanceReport",
-    "AdiabaticTrace",
-    "BlockMatrix",
-    "ContractError",
-    "ConvergenceError",
-    "DEFAULT_TOL",
-    "DENSE_CAP",
-    "ExcitedEnergyProblem",
-    "FFHamiltonian",
-    "FORMAT_VERSION",
-    "Gate",
-    "HamiltonianPath",
-    "LocalHamiltonian",
-    "MAX_QUBITS",
-    "MappedHamiltonian",
-    "MatrixClassFlags",
-    "MeasurementReport",
-    "QuantumCircuit",
-    "ResourceError",
-    "SatDecision",
-    "SatInstance",
-    "SectorDecomposition",
-    "SpectralReport",
-    "Spectrum",
-    "UNIVERSAL_ROT_ANGLE",
-    "acceptance_operator",
-    "add_ancilla_penalty",
-    "add_penalty_complex",
-    "antisym_projector",
-    "block_matrix",
-    "build_Hc",
-    "build_ff",
-    "build_matrix",
-    "build_stochastic_ff",
-    "circuit_from_data",
-    "circuit_to_data",
-    "classify",
-    "clock_state_index",
-    "cnot",
-    "custom",
-    "decide_sat",
-    "direct_sum",
-    "eig_dense",
-    "eig_extremal",
-    "embed",
-    "evolve",
-    "ff_schedule_path",
-    "ff_term_hamiltonians",
-    "gap_formulas",
-    "gap_scan_csv",
-    "hamiltonian_from_data",
-    "hamiltonian_to_data",
-    "history_state",
-    "identity_gate",
-    "kernel_projector_complement",
-    "legal_basis",
-    "lemma1_value",
-    "linear_interpolation_path",
-    "load_circuit",
-    "load_hamiltonian",
-    "load_sat_instance",
-    "main",
-    "make_report",
-    "measure_and_decode",
-    "output_distribution",
-    "pauli_decompose",
-    "random_instance",
-    "reduce_qsat",
-    "remap_qubits",
-    "report_to_json",
-    "restricted_operator",
-    "rot",
-    "run_command",
-    "sat_instance_from_data",
-    "sat_instance_to_data",
-    "save_circuit",
-    "save_hamiltonian",
-    "save_sat_instance",
-    "sector_leakage",
-    "sector_projector",
-    "sector_spectrum",
-    "sector_vector_z4",
-    "slater_witness",
-    "spectral_report",
-    "spectral_report_to_data",
-    "stochastize",
-    "stochastize_complex",
-    "stochastize_ff",
-    "stoquastize",
-    "stoquastic_interpolation_path",
-    "write_report",
-]

@@ -2,9 +2,11 @@
 
 The integrator applies exact matrix exponentials of the midpoint
 Hamiltonian on each step, so the evolution is unitary to roundoff and
-the only error is the O(dt^2) schedule discretization. Each exponential
-is taken block by block over the connected components of the sample's
-stored sparsity pattern, which the sample leaves invariant.
+the only error is the O(dt^2) schedule discretization. A path is a few
+pieces, each a fixed sparsity pattern carrying a weighted sum of parts,
+so every sample of a piece is one coefficient row times its part stack.
+Each exponential is taken block by block over the connected components
+of the piece's pattern, which every sample of the piece leaves invariant.
 """
 
 from __future__ import annotations
@@ -17,91 +19,151 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _as_csr, _check_dense_cap, _eigh
+from .classify import _check_dense_cap, _eigh
 from .clock import QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
 from .errors import ContractError
 from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _scatter_sum, _sum_terms
 from .spectra import DEGENERACY_TOL
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class PathPiece:
+    """H(u) = sum_j coefficients(u)[j] parts[j], stored on one canonical CSR pattern, for u below end.
+
+    parts is the (parts x nnz) stack of values on pattern (whose own data
+    is not read); coefficients maps an array of u to a (len(u) x parts)
+    array.
+    """
+
+    end: float
+    pattern: sp.csr_matrix
+    parts: np.ndarray
+    coefficients: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if np.ndim(self.parts) != 2 or np.shape(self.parts)[1] != self.pattern.nnz:
+            raise ContractError(f"parts of shape {np.shape(self.parts)} do not fit {self.pattern.nnz} stored entries")
+
+    def data(self, u) -> np.ndarray:
+        """The stored values of H(u) for every u at once, (len(u) x nnz): the parts summed left to right."""
+        c = self.coefficients(np.asarray(u, dtype=float))
+        data = c[:, :1] * self.parts[0]
+        for j in range(1, len(self.parts)):
+            data += c[:, j:j + 1] * self.parts[j]
+        return data
+
+
+@dataclass(frozen=True, eq=False)
 class HamiltonianPath:
-    """Schedule parameter u in [0,1] mapped to a (sparse) Hamiltonian.
+    """Schedule parameter u in [0, 1] mapped to a sparse Hamiltonian, piece by piece.
 
-    sector_projector, when present, marks an ancilla sector the
-    evolution is expected to stay inside; evolve() then records the
-    population so leakage can be reported.
+    Piece j holds from the previous piece's end (0 for the first) up to
+    its own end; the last piece ends at 1 and holds at u = 1 too.
+    sector, when present, is (index, vector): the subspace spanned by
+    sum_m vector[m] |index[r, m]>, one orthonormal vector per row r,
+    that the evolution is expected to stay inside; evolve() then records
+    its population so leakage can be reported.
     """
 
-    generator: Callable[[float], sp.spmatrix]
-    sector_projector: sp.spmatrix | None = None
+    pieces: tuple[PathPiece, ...]
+    sector: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        ends = [piece.end for piece in self.pieces]
+        if not ends or ends[-1] != 1.0 or not all(0.0 < a < b for a, b in zip(ends, ends[1:])):
+            raise ContractError(f"piece ends must increase from above 0 to exactly 1, got {ends}")
+        if len({piece.pattern.shape for piece in self.pieces}) != 1 or self.pieces[0].pattern.shape[0] != self.dim:
+            raise ContractError("pieces must share one square shape")
+
+    @property
+    def dim(self) -> int:
+        return self.pieces[0].pattern.shape[1]
+
+    def piece_at(self, u: np.ndarray) -> np.ndarray:
+        """The index of the piece holding each u."""
+        ends = [piece.end for piece in self.pieces]
+        return np.minimum(np.searchsorted(ends, u, side="right"), len(ends) - 1)
+
+    def sample(self, u: float) -> sp.csr_matrix:
+        """H(u) as its own CSR matrix, read from the same parts as evolve's samples."""
+        if not (0.0 <= u <= 1.0):
+            raise ContractError(f"schedule parameter u must lie in [0, 1], got {u}")
+        piece = self.pieces[int(self.piece_at(u))]
+        return sp.csr_matrix((piece.data([u])[0], piece.pattern.indices.copy(), piece.pattern.indptr.copy()),
+                             shape=piece.pattern.shape)
 
 
-def linear_interpolation_path(Ha, Hb) -> HamiltonianPath:
-    A = sp.csr_matrix(Ha)
-    B = sp.csr_matrix(Hb)
-    if A.shape != B.shape:
-        raise ContractError("endpoint dimensions differ")
-    return HamiltonianPath(lambda u: sp.csr_matrix((1.0 - u) * A + u * B))
+def _on_one_pattern(dim: int, parts) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Each part's (rows, cols, vals) summed onto one canonical CSR pattern: the union of their positions.
 
-
-def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
-    """The clock path H^FF(s(u)) with s(u) = u/2.
-
-    H^FF(s) = K + s A + (1-s) B - sqrt(s(1-s)) C: K sums the pin, clock and
-    init terms, A, B, C the propagation terms' lo, hi and hop pieces. Every
-    piece is embedded once; the four parts are summed onto one CSR pattern,
-    the union of their stored entries, so each sample is one axpy.
-
-    Every H^FF(s) preserves the span of the legal clock configurations,
-    so that span is tracked as the protected sector. Its projector B B^dagger
-    (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
-    columns of B at one clock time are a unitary image of the work basis.
+    Returns the pattern and the (parts x nnz) stack of the parts' values
+    on it, duplicate positions within a part added up.
     """
-    fixed = [(t.qubits, t.local) for t in _fixed_terms(circuit)]  # checks the register first
-    props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
-    n, L = circuit.n, circuit.L
-    dim = 1 << (n + L + 1)
-    clocks = [clock_state_index(t, L) for t in range(L + 1)]
-    legal = (np.arange(1 << n)[:, None] * (1 << (L + 1)) + clocks).ravel()
-    projector = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(dim, dim))
-    parts = [[_embed_entries(local, qubits, n + L + 1) for qubits, local in pieces]  # K, A, B and C
-             for pieces in [fixed] + [[(p[0], p[i]) for p in props] for i in (1, 2, 3)]]
-    rows, cols, vals = ([np.concatenate([e[i] for e in part]) for part in parts] for i in range(3))
-    # No part cancels anywhere (K, A and B are nonnegative diagonals, and no two hop
-    # entries share a position), so ones mark exactly the union of the four patterns.
-    pattern = _sum_terms(dim, [(1.0, r, c, np.ones(r.size)) for r, c in zip(rows, cols)])
+    rows, cols, vals = ([part[i] for part in parts] for i in range(3))
+    pattern = _sum_terms(dim, [(1.0, r, c, np.ones(r.size)) for r, c in zip(rows, cols)])  # ones never cancel
     pattern_rows, pattern_cols, _ = _csr_entries(pattern)
     slots = pattern_rows * dim + pattern_cols  # increasing, since the pattern's indices are sorted
     at = np.split(np.searchsorted(slots, np.concatenate(rows) * dim + np.concatenate(cols)),
                   np.cumsum([r.size for r in rows])[:-1])  # each entry's slot, part by part
-    k, a, b, c = (_scatter_sum(where, v, pattern.nnz) for where, v in zip(at, vals))  # the parts on the pattern
+    return pattern, np.stack([_scatter_sum(where, v, pattern.nnz) for where, v in zip(at, vals)])
 
-    def generator(u: float) -> sp.csr_matrix:
-        if not (0.0 <= u <= 1.0):
-            raise ContractError(f"schedule parameter u must lie in [0, 1], got {u}")
+
+def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
+    """The clock path H^FF(s(u)) with s(u) = u/2, one piece of four parts.
+
+    H^FF(s) = K + s A + (1-s) B - sqrt(s(1-s)) C: K sums the pin, clock and
+    init terms, A, B, C the propagation terms' lo, hi and hop pieces. Every
+    piece is embedded once, and the four parts are summed onto one pattern.
+
+    Every H^FF(s) preserves the span of the legal clock configurations,
+    so that span is tracked as the protected sector. Its projector B B^dagger
+    (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
+    columns of B at one clock time are a unitary image of the work basis:
+    the sector is the legal basis states themselves.
+    """
+    fixed = [(t.qubits, t.local) for t in _fixed_terms(circuit)]  # checks the register first
+    props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate
+    n, L = circuit.n, circuit.L
+    clocks = [clock_state_index(t, L) for t in range(L + 1)]
+    legal = (np.arange(1 << n)[:, None] * (1 << (L + 1)) + clocks).ravel()
+    parts = [[_embed_entries(local, qubits, n + L + 1) for qubits, local in pieces]  # K, A, B and C
+             for pieces in [fixed] + [[(p[0], p[i]) for p in props] for i in (1, 2, 3)]]
+    pattern, stack = _on_one_pattern(1 << (n + L + 1),
+                                     [tuple(np.concatenate([e[i] for e in part]) for i in range(3)) for part in parts])
+
+    def coefficients(u: np.ndarray) -> np.ndarray:
         s = u / 2.0
-        data = k + s * a + (1.0 - s) * b - float(np.sqrt(s * (1.0 - s))) * c
-        return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
+        return np.column_stack([np.ones_like(s), s, 1.0 - s, -np.sqrt(s * (1.0 - s))])
 
-    return HamiltonianPath(generator=generator, sector_projector=projector)
+    return HamiltonianPath((PathPiece(1.0, pattern, stack, coefficients),), sector=(legal[:, None], np.ones(1)))
 
 
 def stoquastic_interpolation_path(Ha, Hb) -> HamiltonianPath:
-    """Stoquastized linear interpolation with the |-> sector protected.
+    """Stoquastized linear interpolation stoquastize((1-u) Ha + u Hb), with the |-> sector protected.
 
-    Ha, Hb are LocalHamiltonians on the same register; the generator is
-    stoquastize((1-u) Ha + u Hb), whose |-> sector reproduces the
-    interpolation exactly and never couples to |+>.
+    Ha, Hb are LocalHamiltonians on the same register; the |-> sector of
+    every sample reproduces the interpolation exactly and never couples
+    to |+>. stoquastize is affine in a term's coefficient while its sign
+    holds, so the path is affine between the u at which a string of both
+    Ha and Hb changes sign (their sum merges it); each piece carries its
+    two realized ends as parts. With no such string it is one piece,
+    (1-u) stoquastize(Ha) + u stoquastize(Hb).
     """
     if Ha.n != Hb.n:
         raise ContractError("endpoint registers differ")
-    n = Ha.n
+    a, b = (dict(zip(zip(H.x.tolist(), H.z.tolist()), H.coeff.tolist())) for H in (Ha, Hb))
+    flips = {a[key] / (a[key] - b[key]) for key in a.keys() & b.keys() if a[key] * b[key] < 0}
+    bounds = [0.0, *sorted(flips), 1.0]
+    ends = [_csr_entries(mapping.stoquastize(Ha.scaled(1.0 - u) + Hb.scaled(u)).realize()) for u in bounds]
 
-    def gen(u: float) -> sp.csr_matrix:
-        return mapping.stoquastize(Ha.scaled(1.0 - u) + Hb.scaled(u)).realize()
+    def piece(u0: float, u1: float, at_u0, at_u1) -> PathPiece:
+        def coefficients(u: np.ndarray) -> np.ndarray:
+            return np.column_stack([(u1 - u) / (u1 - u0), (u - u0) / (u1 - u0)])
 
-    return HamiltonianPath(generator=gen, sector_projector=mapping.sector_projector(n, mapping.MINUS))
+        return PathPiece(u1, *_on_one_pattern(2 << Ha.n, [at_u0, at_u1]), coefficients)
+
+    pieces = tuple(piece(*args) for args in zip(bounds, bounds[1:], ends, ends[1:]))
+    return HamiltonianPath(pieces, sector=(np.arange(2 << Ha.n).reshape(-1, 2), mapping.MINUS))
 
 
 @dataclass(eq=False)
@@ -146,51 +208,36 @@ def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.n
     return groups
 
 
-def _check_shape(H, dim: int) -> None:
-    if H.shape != (dim, dim):
-        raise ContractError(f"sample has shape {H.shape}, the state has dimension {dim}")
+def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: int):
+    """For each step k, [(idx, phases, vecs) per block size] of the sample H((k + 1/2)/steps).
 
-
-def _midpoint_factors(path: HamiltonianPath, steps: int, dim: int, dense_cap: int):
-    """For each step k, [(idx, vals, vecs) per block size] of the sample H((k + 1/2)/steps).
-
-    Consecutive samples on one stored pattern form a run. A run
-    is solved in batches, one stacked _eigh per block size of shape
-    (count, b, m, m), so the whole run costs a few solves, not one per
-    step. A batch's blocks hold at most dense_cap**2 entries in all, as
-    one dense solve at the cap does. Each sample is checked against
-    dense_cap and dim when it is built, before any batch holding it is
-    solved.
+    phases are exp(-i vals dt). Each piece's blocks are found once. Its
+    steps' samples are formed in batches, every sample of a batch from
+    one coefficient product (PathPiece.data), and a batch is solved with
+    one stacked _eigh per block size, of shape (count, b, m, m). A
+    batch's blocks hold at most dense_cap**2 entries in all, as one
+    dense solve at the cap does.
     """
-    run, blocks, pattern, per_batch = [], [], (None, None), 0
-    for k in range(steps):
-        H = _as_csr(path.generator((k + 0.5) / steps))  # duplicate entries add up, as they would densified
-        _check_dense_cap(H.shape[0], dense_cap)
-        _check_shape(H, dim)
-        if not (np.array_equal(H.indptr, pattern[0]) and np.array_equal(H.indices, pattern[1])):
-            yield from _solved(blocks, run, dense_cap)
-            blocks, pattern, run = _pattern_blocks(H), (H.indptr.copy(), H.indices.copy()), []
-            per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in blocks)
-        elif len(run) == per_batch:
-            yield from _solved(blocks, run, dense_cap)
-            run = []
-        run.append(H.data.copy())  # a generator may reuse its buffers
-    yield from _solved(blocks, run, dense_cap)
-
-
-def _solved(blocks, run: list[np.ndarray], dense_cap: int):
-    """Per sample of run (data arrays on the pattern of blocks), its (idx, vals, vecs) per block size."""
-    if not run:
-        return
-    data = np.stack(run)
-    factors = []
-    for idx, entries, slots in blocks:
-        b, m = idx.shape
-        stack = np.zeros((len(run), b * m * m), dtype=data.dtype)
-        stack[:, slots] = data[:, entries]
-        factors.append((idx, *_eigh(stack.reshape(len(run), b, m, m), dense_cap)))
-    for j in range(len(run)):
-        yield [(idx, vals[j], vecs[j]) for idx, vals, vecs in factors]
+    u = (np.arange(steps) + 0.5) / steps
+    at = path.piece_at(u)
+    for j, piece in enumerate(path.pieces):
+        mids = u[at == j]
+        if not mids.size:
+            continue
+        blocks = _pattern_blocks(piece.pattern)
+        per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in blocks)
+        for start in range(0, mids.size, per_batch):
+            data = piece.data(mids[start:start + per_batch])
+            count = len(data)
+            factors = []
+            for idx, entries, slots in blocks:
+                b, m = idx.shape
+                stack = np.zeros((count, b * m * m), dtype=data.dtype)
+                stack[:, slots] = data[:, entries]
+                vals, vecs = _eigh(stack.reshape(count, b, m, m), dense_cap)
+                factors.append((idx, np.exp(-1j * vals * dt), vecs))
+            for k in range(count):
+                yield [(idx, phases[k], vecs[k]) for idx, phases, vecs in factors]
 
 
 def evolve(
@@ -209,11 +256,10 @@ def evolve(
 
     Each step propagates the midpoint sample block by block (see
     _pattern_blocks). The samples do not depend on the state, so they are
-    solved ahead of the steps that apply them: per run of steps on one
-    pattern, all blocks of one size in one stacked solve, in batches of
-    at most dense_cap**2 block entries (see _midpoint_factors). The
-    blocks are found once per distinct pattern. dense_cap bounds each
-    sample's whole dimension, checked before anything dense is built.
+    solved ahead of the steps that apply them, per piece in stacked
+    batches (see _midpoint_factors); a block of size 1 is a phase. The
+    blocks are found once per piece. dense_cap bounds the path's whole
+    dimension, checked once, before anything dense is built.
     """
     if steps < 1:
         raise ContractError("need at least one step")
@@ -222,12 +268,14 @@ def evolve(
     psi = np.asarray(initial, dtype=complex).ravel().copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ContractError("initial state is not normalized")
+    if psi.size != path.dim:
+        raise ContractError(f"path has dimension {path.dim}, the state has dimension {psi.size}")
+    _check_dense_cap(path.dim, dense_cap)
     dt = T / steps
-    want_overlap = target is not None
 
     def overlap_at(u: float, state: np.ndarray) -> float:
         if isinstance(target, str) and target == "ground":
-            vals, vecs = _eigh(path.generator(u), dense_cap)
+            vals, vecs = _eigh(path.sample(u), dense_cap)
             ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
             return float(np.linalg.norm(ground.conj().T @ state) ** 2)
         return float(abs(np.vdot(target, state)) ** 2)
@@ -236,22 +284,29 @@ def evolve(
     times = np.linspace(0.0, T, samples)
     u_values = np.linspace(0.0, 1.0, samples)
     norms = np.zeros(samples)
-    overlaps = np.zeros(samples) if want_overlap else None
-    pops = np.zeros(samples) if path.sector_projector is not None else None
+    overlaps = np.zeros(samples) if target is not None else None
+    pops = np.zeros(samples) if path.sector is not None else None
+    if pops is not None:
+        index, vector = path.sector
+        row_projector = np.outer(vector.conj(), vector)  # psi[index] @ row_projector: each row's projection
 
     def record(k: int, u: float):
         norms[k] = np.linalg.norm(psi)
         if overlaps is not None:
             overlaps[k] = overlap_at(u, psi)
         if pops is not None:
-            pops[k] = float(np.real(np.vdot(psi, path.sector_projector @ psi)))
+            projected = np.zeros_like(psi)  # the sector's projector applied to psi
+            projected[index] = psi[index] @ row_projector
+            pops[k] = float(np.real(np.vdot(psi, projected)))
 
-    _check_shape(path.generator(0.0), psi.size)  # before the u = 0 target and population read it
     record(0, 0.0)
-    for k, factors in enumerate(_midpoint_factors(path, steps, psi.size, dense_cap)):
-        for idx, vals, vecs in factors:
-            amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * np.exp(-1j * vals * dt)
-            psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
+    for k, factors in enumerate(_midpoint_factors(path, steps, dt, dense_cap)):
+        for idx, phases, vecs in factors:
+            if idx.shape[1] == 1:
+                psi[idx[:, 0]] *= phases[:, 0]  # a 1 x 1 block's eigenvector is exactly 1
+            else:
+                amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
+                psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1, (k + 1.0) / steps)
     return AdiabaticTrace(
         times=times,

@@ -296,7 +296,7 @@ def _cmd_adiabatic(args, argv) -> int:
     circuit = fmt.load_circuit(args.circuit)
     evolved = circuit.padded() if args.padded else circuit
     path = ff_schedule_path(evolved)
-    initial = np.zeros(path.sector_projector.shape[0])
+    initial = np.zeros(path.dim)
     initial[clock_state_index(0, evolved.L)] = 1.0
     target = history_state(evolved, 0.5)
     trace = evolve(path, T=args.T, steps=args.steps, initial=initial, target=target,

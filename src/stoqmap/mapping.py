@@ -306,11 +306,3 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
 def sector_spectrum(mapped: MappedHamiltonian, sector: str) -> np.ndarray:
     """Eigenvalues of the realized matrix inside one ancilla sector, ascending."""
     return eig_dense(mapped.sector_operator(sector), compute_vectors=False).eigenvalues
-
-
-def sector_projector(n_work: int, ancilla_state: np.ndarray) -> sp.csr_matrix:
-    """Projector onto (work space) (x) |ancilla_state> for leakage tracking."""
-    a = np.asarray(ancilla_state, dtype=complex).ravel()
-    a = a / np.linalg.norm(a)
-    P = sp.csr_matrix(np.outer(a, a.conj()))
-    return sp.kron(sp.identity(1 << n_work, format="csr"), P, format="csr")

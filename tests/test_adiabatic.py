@@ -12,6 +12,7 @@ from stoqmap import (
     ContractError,
     HamiltonianPath,
     LocalHamiltonian,
+    PathPiece,
     QuantumCircuit,
     ResourceError,
     block_matrix,
@@ -25,7 +26,6 @@ from stoqmap import (
     history_state,
     identity_gate,
     legal_basis,
-    linear_interpolation_path,
     measure_and_decode,
     output_distribution,
     rot,
@@ -33,9 +33,12 @@ from stoqmap import (
     save_circuit,
     sector_leakage,
     stoquastic_interpolation_path,
+    stoquastize,
 )
 
+from stoqmap.pauli import _csr_entries
 from stoqmap.spectra import DEGENERACY_TOL
+from test_clock_path import four_part_path
 
 adiabatic = importlib.import_module("stoqmap.adiabatic")
 classify_module = importlib.import_module("stoqmap.classify")
@@ -61,11 +64,43 @@ def interp_endpoints():
     return Ha, Hb
 
 
+def ones(u):
+    return np.ones((u.size, 1))
+
+
+def affine_path(parts, coefficients, sector=None):
+    """One piece: the (dense or sparse) parts on the union of their stored entries, duplicates summed."""
+    entries = [_csr_entries(sp.csr_matrix(M)) for M in parts]
+    piece = PathPiece(1.0, *adiabatic._on_one_pattern(parts[0].shape[0], entries), coefficients)
+    return HamiltonianPath((piece,), sector)
+
+
+def linear_interpolation_path(A, B):
+    """(1 - u) A + u B."""
+    return affine_path([A, B], lambda u: np.column_stack([1.0 - u, u]))
+
+
+def plus(piece, M, end=None):
+    """piece with M added as one more part, of coefficient 1, over [previous end, end)."""
+    rows, cols, _ = _csr_entries(piece.pattern)
+    pattern, parts = adiabatic._on_one_pattern(
+        piece.pattern.shape[0], [(rows, cols, part) for part in piece.parts] + [_csr_entries(M)])
+    return PathPiece(piece.end if end is None else end, pattern, parts,
+                     lambda u: np.column_stack([piece.coefficients(u), ones(u)]))
+
+
+def projector(path):
+    """The sector's projector sum_r v_r v_r^dagger as a sparse matrix, built from path.sector."""
+    index, vector = path.sector
+    V = sp.csr_matrix((np.tile(vector, len(index)), (index.ravel(), np.repeat(np.arange(len(index)), index.shape[1]))),
+                      shape=(path.dim, len(index)))
+    return V @ V.conj().T
+
+
 # ------------------------------------------------------------------- evolve
 
 def test_constant_path_keeps_eigenstate():
-    H = sp.csr_matrix(np.diag([0.0, 1.0, 2.0, 3.0]))
-    path = HamiltonianPath(lambda u: H)
+    path = affine_path([np.diag([0.0, 1.0, 2.0, 3.0])], ones)
     init = np.array([1.0, 0.0, 0.0, 0.0])
     trace = evolve(path, T=5.0, steps=50, initial=init, target="ground")
     assert np.max(np.abs(trace.overlaps - 1.0)) <= 1e-12
@@ -75,7 +110,7 @@ def test_constant_path_keeps_eigenstate():
 
 def test_evolve_rejects_bad_inputs():
     H = sp.identity(4, format="csr")
-    path = HamiltonianPath(lambda u: H)
+    path = affine_path([H], ones)
     with pytest.raises(ContractError, match="normalized"):
         evolve(path, 1.0, 10, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ContractError, match="step"):
@@ -86,7 +121,7 @@ def test_evolve_rejects_bad_inputs():
     with pytest.raises(ContractError, match="dimension 3"):
         evolve(path, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=None)
     # the u = 0 target and sector population read the state before the first step
-    guarded = HamiltonianPath(lambda u: H, sector_projector=sp.identity(4, format="csr"))
+    guarded = affine_path([H], ones, sector=(np.arange(4)[:, None], np.ones(1)))
     for target in ("ground", np.array([1.0, 0.0, 0.0, 0.0]), None):
         with pytest.raises(ContractError, match="dimension 3"):
             evolve(guarded, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=target)
@@ -96,7 +131,7 @@ def test_evolve_checks_every_sample_before_diagonalizing():
     circuit = QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2)))  # 16-dimensional samples
     with pytest.raises(ResourceError, match="dense cap 8"):
         evolve(ff_schedule_path(circuit), 1.0, 4, ff_initial(circuit), target=None, dense_cap=8)
-    skew = HamiltonianPath(lambda u: sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    skew = affine_path([np.array([[0.0, 1.0], [0.0, 0.0]])], ones)
     with pytest.raises(ContractError, match="Hermitian"):
         evolve(skew, 1.0, 1, np.array([1.0, 0.0]), target=None)
 
@@ -107,21 +142,22 @@ def full_register_evolve(path, T, steps, initial, target):
     Returns the final state and the norms, overlaps and sector populations at every sample.
     """
     psi = np.asarray(initial, dtype=complex).copy()
+    P = None if path.sector is None else projector(path)
     rows = []
 
     def record(u):
         if isinstance(target, str):
-            vals, vecs = np.linalg.eigh(path.generator(u).toarray())
+            vals, vecs = np.linalg.eigh(path.sample(u).toarray())
             ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
             overlap = np.linalg.norm(ground.conj().T @ psi) ** 2
         else:
             overlap = abs(np.vdot(target, psi)) ** 2
-        pop = 0.0 if path.sector_projector is None else np.real(np.vdot(psi, path.sector_projector @ psi))
+        pop = 0.0 if path.sector is None else np.real(np.vdot(psi, P @ psi))
         rows.append((np.linalg.norm(psi), overlap, pop))
 
     record(0.0)
     for k in range(steps):
-        vals, vecs = np.linalg.eigh(path.generator((k + 0.5) / steps).toarray())
+        vals, vecs = np.linalg.eigh(path.sample((k + 0.5) / steps).toarray())
         psi = vecs @ (np.exp(-1j * vals * (T / steps)) * (vecs.conj().T @ psi))
         record((k + 1.0) / steps)
     return psi, np.array(rows)
@@ -140,27 +176,32 @@ def counting_component_searches(monkeypatch):
 
 
 def legal_coupling(circuit, eps):
-    """eps (|legal><illegal| + h.c.) between the FF path's start state and an illegal clock pattern."""
+    """The FF path plus eps (|legal><illegal| + h.c.) between its start state and an illegal clock pattern."""
     path = ff_schedule_path(circuit)
     legal = clock_state_index(0, circuit.L)
-    illegal = next(i for i in range(path.sector_projector.shape[0]) if path.sector_projector[i, i] == 0)
-    coupling = sp.csr_matrix(([eps, eps], ([legal, illegal], [illegal, legal])), shape=path.sector_projector.shape)
-    return HamiltonianPath(lambda u: path.generator(u) + coupling, path.sector_projector)
+    illegal = min(set(range(path.dim)) - set(path.sector[0][:, 0].tolist()))
+    coupling = sp.csr_matrix(([eps, eps], ([legal, illegal], [illegal, legal])), shape=(path.dim, path.dim))
+    return HamiltonianPath((plus(path.pieces[0], coupling),), path.sector)
+
+
+def switched_extra(circuit):
+    dim = 1 << (circuit.n + circuit.L + 1)
+    a, b = clock_state_index(0, circuit.L), dim - 1
+    return sp.csr_matrix(([0.3, 0.3], ([a, b], [b, a])), shape=(dim, dim))
 
 
 def switched_path(circuit):
-    """The FF path with an extra coupling while 1/4 <= u < 3/4: the pattern changes twice."""
+    """The FF path with an extra coupling while 1/4 <= u < 3/4, three pieces: the pattern changes twice."""
     path = ff_schedule_path(circuit)
-    a, b = clock_state_index(0, circuit.L), path.sector_projector.shape[0] - 1
-    extra = sp.csr_matrix(([0.3, 0.3], ([a, b], [b, a])), shape=path.sector_projector.shape)
-    return HamiltonianPath(lambda u: path.generator(u) + extra if 0.25 <= u < 0.75 else path.generator(u),
-                           path.sector_projector)
+    (ff,) = path.pieces
+    head = PathPiece(0.25, ff.pattern, ff.parts, ff.coefficients)
+    return HamiltonianPath((head, plus(ff, switched_extra(circuit), end=0.75), ff), path.sector)
 
 
 def imaginary_path():
-    """Purely imaginary couplings (0-2 and 1-3) over a diagonal that moves with u."""
+    """Purely imaginary couplings (0-2 and 1-3) over a diagonal that moves with u: coefficients 1 + u and 1."""
     skew = 0.7j * (np.eye(4, k=2) - np.eye(4, k=-2))
-    return HamiltonianPath(lambda u: sp.csr_matrix(np.diag([0.0, 1.0, 2.0, 3.0]) * (1.0 + u) + skew))
+    return affine_path([np.diag([0.0, 1.0, 2.0, 3.0]), skew], lambda u: np.column_stack([1.0 + u, np.ones(u.size)]))
 
 
 PHASE = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
@@ -178,19 +219,25 @@ def oracle_case(name):
     if name.startswith("ff"):
         circuit = FF_CIRCUITS[int(name[2:])]
         return ff_schedule_path(circuit), ff_initial(circuit), history_state(circuit, 0.5), 1
-    if name == "stoquastic":
+    if name.startswith("stoquastic"):
         Ha, Hb = interp_endpoints()
-        return stoquastic_interpolation_path(Ha, Hb), np.kron([1.0, 0.0, 0.0, 0.0], MINUS), "ground", 1
-    if name == "duplicates":  # the 0-1 coupling is stored as two entries that add up
-        return HamiltonianPath(lambda u: sp.csr_matrix(
-            (np.array([0.2, 0.3, 0.5, u, 1.0]), np.array([1, 1, 0, 1, 2]), np.array([0, 2, 4, 5])), shape=(3, 3)
-        )), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1
+        if name == "stoquastic_flips":  # three pieces
+            Hb = LocalHamiltonian.from_signed(2, [(-0.6, {0: "X"}), (-0.5, {1: "Z"}), (0.3, {1: "X"})])
+        path = stoquastic_interpolation_path(Ha, Hb)
+        return path, np.kron([1.0, 0.0, 0.0, 0.0], MINUS), "ground", len(path.pieces)
+    if name == "duplicates":  # the 0-1 coupling is stored as two entries that add up when the path is built
+        constant = sp.csr_matrix((np.array([0.2, 0.3, 0.5, 1.0]), np.array([1, 1, 0, 2]), np.array([0, 2, 3, 4])),
+                                 shape=(3, 3))
+        moving = sp.csr_matrix(([1.0], ([1], [1])), shape=(3, 3))
+        path = affine_path([constant, moving], lambda u: np.column_stack([np.ones(u.size), u]))
+        return path, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1
     if name == "switched":
         return switched_path(ROT_CNOT_ROT), ff_initial(ROT_CNOT_ROT), history_state(ROT_CNOT_ROT, 0.5), 3
     return imaginary_path(), np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.5), 1
 
 
-@pytest.mark.parametrize("name", ["ff0", "ff1", "ff2", "ff3", "stoquastic", "switched", "imaginary", "duplicates"])
+@pytest.mark.parametrize("name", ["ff0", "ff1", "ff2", "ff3", "stoquastic", "stoquastic_flips", "switched", "imaginary",
+                                  "duplicates"])
 def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
     path, initial, target, searches = oracle_case(name)
     T, steps = 12.0, 64
@@ -203,13 +250,13 @@ def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
     assert np.max(np.abs(trace.final_state - want)) <= 1e-12
     assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
     assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
-    if path.sector_projector is not None:
+    if path.sector is not None:
         assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
 
 
 def test_blocks_are_the_pattern_components():
     def shapes(path):
-        return sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.generator(0.3)))
+        return sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.pieces[0].pattern))
 
     # ROT.CNOT.ROT on 2 + 4 qubits: 21 components of sizes 1, 4, 6 and 16
     assert shapes(ff_schedule_path(ROT_CNOT_ROT)) == [(1, 16), (2, 6), (6, 4), (12, 1)]
@@ -218,7 +265,7 @@ def test_blocks_are_the_pattern_components():
     assert shapes(imaginary_path()) == [(2, 2)]
     # the ff path's u = 0 sample stores its zero hop entries, so it has the same blocks
     path = ff_schedule_path(ROT_CNOT_ROT)
-    assert shapes(HamiltonianPath(lambda u: path.generator(0.0))) == shapes(path)
+    assert sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.sample(0.0))) == shapes(path)
 
 
 def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
@@ -260,15 +307,15 @@ def test_sample_skewed_only_at_the_last_midpoint_is_refused():
     """The skewed sample shares its batch and pattern with Hermitian ones; its block is still refused."""
     steps = 16
     path = ff_schedule_path(ROT_CNOT_ROT)
+    (ff,) = path.pieces
+    rows, cols, _ = _csr_entries(ff.pattern)
+    skew = np.zeros(ff.pattern.nnz)
+    skew[np.flatnonzero(rows != cols)[0]] = 0.5  # one side of one coupling
 
-    def generator(u):
-        H = path.generator(u)
-        if u == (steps - 0.5) / steps:
-            rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
-            H.data[np.flatnonzero(rows != H.indices)[0]] += 0.5  # one side of one coupling
-        return H
+    def coefficients(u):  # the skew part's coefficient is nonzero only at the last midpoint
+        return np.column_stack([ff.coefficients(u), u == (steps - 0.5) / steps])
 
-    skewed = HamiltonianPath(generator, path.sector_projector)
+    skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]), coefficients),), path.sector)
     with pytest.raises(ContractError, match="not Hermitian"):
         evolve(skewed, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
     evolve(path, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
@@ -289,12 +336,21 @@ def test_stack_blocks_are_held_to_their_own_scale():
         classify_module._eigh(stack, 2)
 
 
-def per_step_evolve(path, T, steps, initial, target):
-    """evolve's propagation one step at a time: each sample's blocks solved alone, through _eigh."""
+def per_step_evolve(generator, P, T, steps, initial, target):
+    """evolve's propagation one step at a time, from a per-sample generator: each sample canonicalized,
+    its blocks solved alone through _eigh and applied with two einsums, the sector read through P @ psi.
+
+    Returns the final state and the norms, overlaps and sector populations at every sample.
+    """
     psi = np.asarray(initial, dtype=complex).copy()
-    overlaps = [abs(np.vdot(target, psi)) ** 2]
+    rows = []
+
+    def record():
+        rows.append((np.linalg.norm(psi), abs(np.vdot(target, psi)) ** 2, np.real(np.vdot(psi, P @ psi))))
+
+    record()
     for k in range(steps):
-        H = classify_module._as_csr(path.generator((k + 0.5) / steps))
+        H = classify_module._as_csr(generator((k + 0.5) / steps))
         for idx, entries, slots in adiabatic._pattern_blocks(H):
             b, m = idx.shape
             stack = np.zeros(b * m * m, dtype=H.dtype)
@@ -302,17 +358,45 @@ def per_step_evolve(path, T, steps, initial, target):
             vals, vecs = classify_module._eigh(stack.reshape(b, m, m), DENSE_CAP)
             amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * np.exp(-1j * vals * (T / steps))
             psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
-        overlaps.append(abs(np.vdot(target, psi)) ** 2)
-    return psi, np.array(overlaps)
+        record()
+    return psi, np.array(rows)
 
 
 @pytest.mark.parametrize("name", ["ff0", "ff1", "switched"])
 def test_batched_evolve_is_bitwise_the_per_step_loop(name):
+    """The oracle builds each sample with the earlier per-sample construction and reads the legal
+    sector through its sparse projector B B^dagger (the 0/1 diagonal on the legal configurations)."""
     path, initial, target, _ = oracle_case(name)
-    want, overlaps = per_step_evolve(path, 12.0, 64, initial, target)
+    circuit = ROT_CNOT_ROT if name == "switched" else FF_CIRCUITS[int(name[2:])]
+    four = four_part_path(circuit)
+
+    def generator(u):
+        return four(u) + switched_extra(circuit) if name == "switched" and 0.25 <= u < 0.75 else four(u)
+
+    legal = path.sector[0][:, 0]
+    P = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(path.dim, path.dim))
+    want, rows = per_step_evolve(generator, P, 12.0, 64, initial, target)
     trace = evolve(path, 12.0, 64, initial, target=target)
     assert np.array_equal(trace.final_state, want)
-    assert np.array_equal(trace.overlaps, overlaps)
+    assert np.array_equal(trace.norms, rows[:, 0])
+    assert np.array_equal(trace.overlaps, rows[:, 1])
+    assert np.array_equal(trace.sector_populations, rows[:, 2])
+
+
+def test_vector_target_evolve_builds_no_sample(monkeypatch):
+    """evolve reads every midpoint sample from its piece's coefficient product: no CSR per sample."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve built a per-sample CSR")
+
+    path, initial, target, _ = oracle_case("ff0")
+    want = evolve(path, 12.0, 64, initial, target=target)
+    for module in (adiabatic, classify_module):
+        monkeypatch.setattr(module, "_as_csr", refuse, raising=False)
+    monkeypatch.setattr(HamiltonianPath, "sample", refuse)
+    trace = evolve(path, 12.0, 64, initial, target=target)
+    assert np.array_equal(trace.final_state, want.final_state)
+    with pytest.raises(AssertionError, match="per-sample CSR"):
+        evolve(path, 12.0, 64, initial, target="ground")  # the ground overlap does read samples
 
 
 def test_injected_legal_illegal_coupling_leaks_from_ff_path():
@@ -342,7 +426,7 @@ def test_legal_projector_matches_legal_basis_span():
     ]
     for circuit in circuits:
         B = legal_basis(build_ff(circuit, 0.25))
-        P = ff_schedule_path(circuit).sector_projector.toarray()
+        P = projector(ff_schedule_path(circuit)).toarray()
         assert np.max(np.abs(P - B @ B.conj().T)) <= 1e-12
 
 
@@ -357,13 +441,13 @@ def test_ff_path_matches_build_ff_at_every_sample():
     for circuit in circuits:
         path = ff_schedule_path(circuit)
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            got = path.generator(u).toarray()
+            got = path.sample(u).toarray()
             want = build_ff(circuit, u / 2.0).realize().toarray()
             assert got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-14
-            path.generator(u).eliminate_zeros()  # in place; must not reach later samples
+            path.sample(u).eliminate_zeros()  # in place; must not reach later samples
     with pytest.raises(ContractError, match="u must lie"):
-        ff_schedule_path(base).generator(1.5)
+        ff_schedule_path(base).sample(1.5)
 
 
 def test_ff_path_evolution_matches_weight_zero_block():
@@ -447,15 +531,34 @@ def test_sign_free_path_matches_direct_evolution():
     assert np.linalg.norm(work - ref) <= 1e-8
 
 
+def test_stoquastic_path_is_the_stoquastized_interpolation():
+    """Every sample is stoquastize((1-u) Ha + u Hb) to 1e-12. With no string changing sign it is one
+    two-part piece of coefficients (1-u, u); a string of both ends that changes sign splits the path."""
+    Ha, Hb = interp_endpoints()
+    # X0 changes sign at u = 1/1.6 and Z1 at u = 1/2, so one two-part piece would be wrong in between
+    flipped = LocalHamiltonian.from_signed(2, [(-0.6, {0: "X"}), (-0.5, {1: "Z"}), (0.3, {1: "X"})])
+    grid = np.linspace(0.0, 1.0, 41)
+    for A, B, ends in [(Ha, Hb, [1.0]), (Ha, flipped, [0.5, 1.0 / 1.6, 1.0])]:
+        path = stoquastic_interpolation_path(A, B)
+        assert [piece.end for piece in path.pieces] == ends
+        assert all(len(piece.parts) == 2 for piece in path.pieces)
+        for u in grid:
+            want = stoquastize(A.scaled(1.0 - u) + B.scaled(u)).realize().toarray()
+            assert np.max(np.abs(path.sample(u).toarray() - want)) <= 1e-12
+    path = stoquastic_interpolation_path(Ha, Hb)
+    assert np.array_equal(path.pieces[0].coefficients(grid), np.column_stack([1.0 - grid, grid]))
+    one_piece = [stoquastize(H).realize().toarray() for H in (Ha, flipped)]
+    u = 0.55
+    naive = (1.0 - u) * one_piece[0] + u * one_piece[1]
+    assert np.max(np.abs(naive - stoquastize(Ha.scaled(1.0 - u) + flipped.scaled(u)).realize().toarray())) > 0.1
+
+
 def test_injected_sector_coupling_leaks():
     Ha, Hb = interp_endpoints()
     clean = stoquastic_interpolation_path(Ha, Hb)
     coupler = sp.kron(sp.identity(4, format="csr"),
                       sp.csr_matrix(np.diag([1.0, -1.0])), format="csr")
-    noisy = HamiltonianPath(
-        generator=lambda u: clean.generator(u) + 1e-3 * coupler,
-        sector_projector=clean.sector_projector,
-    )
+    noisy = HamiltonianPath(tuple(plus(piece, 1e-3 * coupler) for piece in clean.pieces), clean.sector)
     init = np.kron(np.array([1.0, 0.0, 0.0, 0.0]), MINUS)
     trace = evolve(noisy, T=5.0, steps=50, initial=init, target=None)
     assert sector_leakage(trace) > 1e-12

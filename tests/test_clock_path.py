@@ -107,7 +107,7 @@ def test_path_samples_are_bitwise_the_four_part_construction(index):
     circuit = CIRCUITS[index]
     path, reference = ff_schedule_path(circuit), four_part_path(circuit)
     for u in U_GRID:
-        assert_bitwise_equal(path.generator(u), reference(u))
+        assert_bitwise_equal(path.sample(u), reference(u))
 
 
 def test_path_on_13_qubits_is_bitwise_the_four_part_construction():
@@ -117,7 +117,7 @@ def test_path_on_13_qubits_is_bitwise_the_four_part_construction():
     assert any(g.name == "CUSTOM" and not g.is_real() for g in circuit.gates)
     path, reference = ff_schedule_path(circuit), four_part_path(circuit)
     for u in U_GRID[::4]:
-        assert_bitwise_equal(path.generator(u), reference(u))
+        assert_bitwise_equal(path.sample(u), reference(u))
 
 
 def kron_embed(local, qubits, n):
