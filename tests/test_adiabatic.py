@@ -70,7 +70,7 @@ def ones(u):
 
 def affine_path(parts, coefficients, sector=None):
     """One piece: the (dense or sparse) parts on the union of their stored entries, duplicates summed."""
-    entries = [_csr_entries(sp.csr_matrix(M)) for M in parts]
+    entries = [_csr_entries(M) for M in parts]
     piece = PathPiece(1.0, *adiabatic._on_one_pattern(parts[0].shape[0], entries), coefficients)
     return HamiltonianPath((piece,), sector)
 
@@ -365,7 +365,7 @@ def per_step_evolve(generator, P, T, steps, initial, target):
 @pytest.mark.parametrize("name", ["ff0", "ff1", "switched"])
 def test_batched_evolve_is_bitwise_the_per_step_loop(name):
     """The oracle builds each sample with the earlier per-sample construction and reads the legal
-    sector through its sparse projector B B^dagger (the 0/1 diagonal on the legal configurations)."""
+    sector through its sparse projector B B^dagger (see test_legal_projector_matches_legal_basis_span)."""
     path, initial, target, _ = oracle_case(name)
     circuit = ROT_CNOT_ROT if name == "switched" else FF_CIRCUITS[int(name[2:])]
     four = four_part_path(circuit)
@@ -373,9 +373,7 @@ def test_batched_evolve_is_bitwise_the_per_step_loop(name):
     def generator(u):
         return four(u) + switched_extra(circuit) if name == "switched" and 0.25 <= u < 0.75 else four(u)
 
-    legal = path.sector[0][:, 0]
-    P = sp.csr_matrix((np.ones(legal.size), (legal, legal)), shape=(path.dim, path.dim))
-    want, rows = per_step_evolve(generator, P, 12.0, 64, initial, target)
+    want, rows = per_step_evolve(generator, projector(path), 12.0, 64, initial, target)
     trace = evolve(path, 12.0, 64, initial, target=target)
     assert np.array_equal(trace.final_state, want)
     assert np.array_equal(trace.norms, rows[:, 0])
