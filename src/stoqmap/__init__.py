@@ -62,7 +62,6 @@ from .clock import (
     identity_gate,
     legal_basis,
     output_distribution,
-    restricted_operator,
     rot,
 )
 from .adiabatic import (

@@ -6,7 +6,8 @@ the only error is the O(dt^2) schedule discretization. A path is a few
 pieces, each a fixed sparsity pattern carrying a weighted sum of parts,
 so every sample of a piece is one coefficient row times its part stack.
 Each exponential is taken block by block over the connected components
-of the piece's pattern, which every sample of the piece leaves invariant.
+of the piece's pattern, which every sample of the piece leaves invariant,
+and only over the blocks that the state can reach.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import mapping
 from .classify import _check_dense_cap, _eigh
 from .clock import QuantumCircuit, _fixed_terms, _propagation_pieces, clock_state_index
 from .errors import ContractError
-from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _scatter_sum, _sum_terms
+from .pauli import DENSE_CAP, _csr_entries, _embed_entries, _is_hermitian, _scatter_sum, _sum_terms
 from .spectra import DEGENERACY_TOL
 
 
@@ -44,12 +45,13 @@ class PathPiece:
         if np.ndim(self.parts) != 2 or np.shape(self.parts)[1] != self.pattern.nnz:
             raise ContractError(f"parts of shape {np.shape(self.parts)} do not fit {self.pattern.nnz} stored entries")
 
-    def data(self, u) -> np.ndarray:
-        """The stored values of H(u) for every u at once, (len(u) x nnz): the parts summed left to right."""
+    def data(self, u, entries=slice(None)) -> np.ndarray:
+        """The stored values of H(u) for every u at once, (len(u) x entries): the parts summed left to right."""
         c = self.coefficients(np.asarray(u, dtype=float))
-        data = c[:, :1] * self.parts[0]
-        for j in range(1, len(self.parts)):
-            data += c[:, j:j + 1] * self.parts[j]
+        parts = self.parts[:, entries]
+        data = c[:, :1] * parts[0]
+        for j in range(1, len(parts)):
+            data += c[:, j:j + 1] * parts[j]
         return data
 
 
@@ -178,14 +180,16 @@ class AdiabaticTrace:
     steps: int
 
 
-def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The invariant blocks of H: the connected components of its stored pattern, grouped by size.
 
     Group (idx, entries, slots) stacks its b components of size m:
     idx[j] lists component j's basis indices in ascending order, and
     H.data[entries] lands at the flat positions slots of the dense
     (b, m, m) stack. The graph is read from indptr/indices only, so a
-    stored entry couples its row and column whatever its value.
+    stored entry couples its row and column whatever its value. No group
+    mixes components that meet reach, a boolean over the basis, with
+    components that miss it.
     """
     from scipy.sparse.csgraph import connected_components  # on first use: no other command needs its ~1 MB
 
@@ -193,30 +197,50 @@ def _pattern_blocks(H: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray, np.n
     graph = sp.csr_matrix((np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape)
     count, labels = connected_components(graph, directed=False)
     size = np.bincount(labels, minlength=count)[labels]
-    order = np.lexsort((np.arange(dim), labels, size))  # by component size, then component, then index
+    key = 2 * size + (np.bincount(labels, reach, count) > 0)[labels]
+    order = np.lexsort((np.arange(dim), labels, key))  # by group, then component, then index
     where = np.empty(dim, dtype=np.intp)
     where[order] = np.arange(dim)
     rows, cols, _ = _csr_entries(H)
     groups = []
     start = 0
-    for m in np.unique(size):
-        stop = start + np.count_nonzero(size == m)
-        entries = np.flatnonzero(size[rows] == m)
+    for k in np.unique(key):
+        stop = start + np.count_nonzero(key == k)
+        m = size[order[start]]
+        entries = np.flatnonzero(key[rows] == k)
         r, c = where[rows[entries]] - start, where[cols[entries]] - start
         groups.append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
         start = stop
     return groups
 
 
-def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: int):
-    """For each step k, [(idx, phases, vecs) per block size] of the sample H((k + 1/2)/steps).
+def _block_stacks(piece: PathPiece, mids: np.ndarray, groups, dense_cap: int):
+    """Batches of the samples at mids, as each group's dense (count, b, m, m) stack of blocks.
 
-    phases are exp(-i vals dt). Each piece's blocks are found once. Its
-    steps' samples are formed in batches, every sample of a batch from
-    one coefficient product (PathPiece.data), and a batch is solved with
-    one stacked _eigh per block size, of shape (count, b, m, m). A
-    batch's blocks hold at most dense_cap**2 entries in all, as one
-    dense solve at the cap does.
+    Only the groups' own entries are formed (PathPiece.data), and a batch
+    holds at most dense_cap**2 entries in all, as one dense solve at the cap does.
+    """
+    per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in groups)
+    for start in range(0, mids.size, per_batch):
+        stacks = []
+        for idx, entries, slots in groups:
+            data = piece.data(mids[start:start + per_batch], entries)
+            stack = np.zeros((len(data), idx.size * idx.shape[1]), dtype=data.dtype)
+            stack[:, slots] = data
+            stacks.append(stack.reshape(len(data), *idx.shape, idx.shape[1]))
+        yield stacks
+
+
+def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: int, reach: np.ndarray):
+    """For each step k, [(idx, phases, vecs) per solved block size] of the sample H((k + 1/2)/steps).
+
+    phases are exp(-i vals dt). Each piece's blocks are found once, and
+    only its active blocks are solved: those meeting reach, the boolean
+    support of the state, which each piece then extends by its active
+    blocks. An idle block holds an exactly zero state, which propagates
+    to zero, so it is never solved, but every sample of it must still
+    pass pauli._is_hermitian. Each batch (see _block_stacks) is solved
+    with one stacked _eigh per active block size.
     """
     u = (np.arange(steps) + 0.5) / steps
     at = path.piece_at(u)
@@ -224,19 +248,21 @@ def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: i
         mids = u[at == j]
         if not mids.size:
             continue
-        blocks = _pattern_blocks(piece.pattern)
-        per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in blocks)
-        for start in range(0, mids.size, per_batch):
-            data = piece.data(mids[start:start + per_batch])
-            count = len(data)
+        blocks = _pattern_blocks(piece.pattern, reach)
+        active = [group for group in blocks if reach[group[0][0]].any()]
+        idle = [group for group in blocks if not reach[group[0][0]].any()]
+        for group in idle:  # one group at a time: nothing of it is kept
+            for (stack,) in _block_stacks(piece, mids, [group], dense_cap):
+                if not _is_hermitian(stack):
+                    raise ContractError("matrix is not Hermitian")
+        for idx, _, _ in active:
+            reach[idx] = True
+        for stacks in _block_stacks(piece, mids, active, dense_cap):
             factors = []
-            for idx, entries, slots in blocks:
-                b, m = idx.shape
-                stack = np.zeros((count, b * m * m), dtype=data.dtype)
-                stack[:, slots] = data[:, entries]
-                vals, vecs = _eigh(stack.reshape(count, b, m, m), dense_cap)
+            for (idx, _, _), stack in zip(active, stacks):
+                vals, vecs = _eigh(stack, dense_cap)
                 factors.append((idx, np.exp(-1j * vals * dt), vecs))
-            for k in range(count):
+            for k in range(len(stacks[0])):
                 yield [(idx, phases[k], vecs[k]) for idx, phases, vecs in factors]
 
 
@@ -258,7 +284,9 @@ def evolve(
     _pattern_blocks). The samples do not depend on the state, so they are
     solved ahead of the steps that apply them, per piece in stacked
     batches (see _midpoint_factors); a block of size 1 is a phase. The
-    blocks are found once per piece. dense_cap bounds the path's whole
+    blocks are found once per piece, and only those the state can reach
+    from the support of `initial` are solved: the others hold zero and
+    are only checked Hermitian. dense_cap bounds the path's whole
     dimension, checked once, before anything dense is built.
     """
     if steps < 1:
@@ -289,18 +317,18 @@ def evolve(
     if pops is not None:
         index, vector = path.sector
         row_projector = np.outer(vector.conj(), vector)  # psi[index] @ row_projector: each row's projection
+        projected = np.zeros_like(psi)  # the sector's projector applied to psi; only index is ever written
 
     def record(k: int, u: float):
         norms[k] = np.linalg.norm(psi)
         if overlaps is not None:
             overlaps[k] = overlap_at(u, psi)
         if pops is not None:
-            projected = np.zeros_like(psi)  # the sector's projector applied to psi
             projected[index] = psi[index] @ row_projector
             pops[k] = float(np.real(np.vdot(psi, projected)))
 
     record(0, 0.0)
-    for k, factors in enumerate(_midpoint_factors(path, steps, dt, dense_cap)):
+    for k, factors in enumerate(_midpoint_factors(path, steps, dt, dense_cap, psi != 0)):
         for idx, phases, vecs in factors:
             if idx.shape[1] == 1:
                 psi[idx[:, 0]] *= phases[:, 0]  # a 1 x 1 block's eigenvector is exactly 1
@@ -308,16 +336,8 @@ def evolve(
                 amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
                 psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1, (k + 1.0) / steps)
-    return AdiabaticTrace(
-        times=times,
-        u_values=u_values,
-        overlaps=overlaps,
-        sector_populations=pops,
-        norms=norms,
-        final_state=psi,
-        T=T,
-        steps=steps,
-    )
+    return AdiabaticTrace(times=times, u_values=u_values, overlaps=overlaps, sector_populations=pops, norms=norms,
+                          final_state=psi, T=T, steps=steps)
 
 
 @dataclass(frozen=True)

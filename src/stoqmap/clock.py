@@ -181,22 +181,9 @@ class FFHamiltonian:
     def dim(self) -> int:
         return 1 << self.total_qubits
 
-    def realize_term(self, i: int) -> sp.csr_matrix:
-        return self.terms[i].realize(self.total_qubits)
-
-    def _sum(self, terms) -> sp.csr_matrix:
-        return _sum_terms(self.dim, ((1.0, *_embed_entries(t.local, t.qubits, self.total_qubits))
-                                     for t in terms))
-
     def realize(self) -> sp.csr_matrix:
-        return self._sum(self.terms)
-
-    def realize_parts(self) -> dict[str, sp.csr_matrix]:
-        """Sum of terms grouped by family: pin, clock, init, prop."""
-        families: dict[str, list[ClockTerm]] = {}
-        for t in self.terms:
-            families.setdefault(t.label.split("_")[0], []).append(t)
-        return {family: self._sum(terms) for family, terms in families.items()}
+        return _sum_terms(self.dim, ((1.0, *_embed_entries(t.local, t.qubits, self.total_qubits))
+                                     for t in self.terms))
 
 
 def _ket_projector(dim: int, a: int, b: int) -> np.ndarray:
@@ -359,15 +346,6 @@ def legal_basis(ff: FFHamiltonian) -> np.ndarray:
             col[clock_state_index(j, L)::cdim] = psi
             cols[:, x * (L + 1) + j] = col
     return cols
-
-
-def restricted_operator(ff: FFHamiltonian) -> np.ndarray:
-    """init + prop in the legal clock basis; block diagonal with blocks M_|x|."""
-    B = legal_basis(ff)
-    parts = ff.realize_parts()
-    H = parts.get("init", 0) + parts.get("prop", 0)
-    out = B.conj().T @ (H @ B)
-    return np.asarray(out)
 
 
 def ff_term_hamiltonians(ff: FFHamiltonian) -> list[LocalHamiltonian]:

@@ -1,4 +1,5 @@
 import importlib
+import json
 import warnings
 
 import numpy as np
@@ -87,6 +88,11 @@ def plus(piece, M, end=None):
         piece.pattern.shape[0], [(rows, cols, part) for part in piece.parts] + [_csr_entries(M)])
     return PathPiece(piece.end if end is None else end, pattern, parts,
                      lambda u: np.column_stack([piece.coefficients(u), ones(u)]))
+
+
+def pattern_blocks(H):
+    """The blocks of H's pattern grouped by size alone: no basis index is marked reachable."""
+    return adiabatic._pattern_blocks(H, np.zeros(H.shape[0], dtype=bool))
 
 
 def projector(path):
@@ -256,7 +262,7 @@ def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
 
 def test_blocks_are_the_pattern_components():
     def shapes(path):
-        return sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.pieces[0].pattern))
+        return sorted(idx.shape for idx, _, _ in pattern_blocks(path.pieces[0].pattern))
 
     # ROT.CNOT.ROT on 2 + 4 qubits: 21 components of sizes 1, 4, 6 and 16
     assert shapes(ff_schedule_path(ROT_CNOT_ROT)) == [(1, 16), (2, 6), (6, 4), (12, 1)]
@@ -265,7 +271,7 @@ def test_blocks_are_the_pattern_components():
     assert shapes(imaginary_path()) == [(2, 2)]
     # the ff path's u = 0 sample stores its zero hop entries, so it has the same blocks
     path = ff_schedule_path(ROT_CNOT_ROT)
-    assert sorted(idx.shape for idx, _, _ in adiabatic._pattern_blocks(path.sample(0.0))) == shapes(path)
+    assert sorted(idx.shape for idx, _, _ in pattern_blocks(path.sample(0.0))) == shapes(path)
 
 
 def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
@@ -290,15 +296,15 @@ def counting_stacked_solves(monkeypatch):
 
 
 def test_batches_under_a_small_dense_cap_still_match_the_oracle(monkeypatch):
-    """dense_cap 64 lets a batch hold 64**2 // 436 = 9 of the 64-dimensional samples' blocks."""
+    """dense_cap 64 lets a batch hold 64**2 // 256 = 16 samples of the one reachable 16 x 16 block."""
     path, initial, target = ff_schedule_path(ROT_CNOT_ROT), ff_initial(ROT_CNOT_ROT), history_state(ROT_CNOT_ROT, 0.5)
     want, rows = full_register_evolve(path, 12.0, 64, initial, target)
     searches = counting_component_searches(monkeypatch)
     shapes = counting_stacked_solves(monkeypatch)
     trace = evolve(path, 12.0, 64, initial, target=target, dense_cap=64)
     assert len(searches) == 1
-    # 8 batches (7 of 9 steps, then 1), one stacked solve per block size in each
-    assert [shape[0] for shape in shapes] == [9] * 28 + [1] * 4
+    # 4 batches of 16 steps, one stacked solve of the reachable block in each
+    assert shapes == [(16, 1, 16, 16)] * 4
     assert np.max(np.abs(trace.final_state - want)) <= 1e-12
     assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
 
@@ -319,6 +325,75 @@ def test_sample_skewed_only_at_the_last_midpoint_is_refused():
     with pytest.raises(ContractError, match="not Hermitian"):
         evolve(skewed, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
     evolve(path, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
+
+
+def ff_block_of_size(circuit, m):
+    """The basis indices of one component of size m of the FF path's pattern."""
+    (ff,) = ff_schedule_path(circuit).pieces
+    return next(idx[0] for idx, _, _ in pattern_blocks(ff.pattern) if idx.shape[1] == m)
+
+
+def test_skew_inside_an_idle_block_is_refused(monkeypatch):
+    """A block the state never reaches is not solved, but each of its samples is still held Hermitian."""
+    path = ff_schedule_path(ROT_CNOT_ROT)
+    (ff,) = path.pieces
+    block = ff_block_of_size(ROT_CNOT_ROT, 6)
+    assert not set(block.tolist()) & set(path.sector[0][:, 0].tolist())  # illegal clock states only
+    rows, cols, _ = _csr_entries(ff.pattern)
+    skew = np.zeros(ff.pattern.nnz)
+    skew[np.flatnonzero(np.isin(rows, block) & (rows != cols))[0]] = 0.5  # one side of one coupling in the block
+    skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]),
+                                        lambda u: np.column_stack([ff.coefficients(u), ones(u)])),), path.sector)
+    shapes = counting_stacked_solves(monkeypatch)
+    with pytest.raises(ContractError, match="not Hermitian"):
+        evolve(skewed, 4.0, 16, ff_initial(ROT_CNOT_ROT), target=None)
+    assert shapes == []  # refused before the reachable block is solved
+    evolve(path, 4.0, 16, ff_initial(ROT_CNOT_ROT), target=None)
+    assert shapes == [(16, 1, 16, 16)]
+
+
+def test_block_idle_in_one_piece_is_solved_once_a_later_piece_joins_it(monkeypatch):
+    """The FF path with a legal-illegal coupling while 1/4 <= u < 3/4: a 6-state block of illegal clock
+    states is idle in the first piece, joins the legal block in the second and stays reachable in the third."""
+    block = ff_block_of_size(ROT_CNOT_ROT, 6)
+    path = ff_schedule_path(ROT_CNOT_ROT)
+    (ff,) = path.pieces
+    legal = clock_state_index(0, ROT_CNOT_ROT.L)
+    coupling = sp.csr_matrix(([0.2, 0.2], ([legal, block[0]], [block[0], legal])), shape=(path.dim, path.dim))
+    head = PathPiece(0.25, ff.pattern, ff.parts, ff.coefficients)
+    joined = HamiltonianPath((head, plus(ff, coupling, end=0.75), ff), path.sector)
+    initial, target = ff_initial(ROT_CNOT_ROT), history_state(ROT_CNOT_ROT, 0.5)
+    want, rows = full_register_evolve(joined, 12.0, 64, initial, target)
+    shapes = counting_stacked_solves(monkeypatch)
+    trace = evolve(joined, 12.0, 64, initial, target=target)
+    assert shapes == [(16, 1, 16, 16), (32, 1, 22, 22), (16, 1, 6, 6), (16, 1, 16, 16)]
+    assert np.max(np.abs(trace.final_state[block])) > 1e-3  # the joined block holds part of the state
+    assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+    assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
+    assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+    assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
+    assert sector_leakage(trace) > 1e-6
+
+
+def test_stoquastic_flips_from_a_state_across_blocks(monkeypatch):
+    """Three pieces (Z1 and X0 change sign) on 3 qubits + ancilla, whose pattern splits into four
+    4-state blocks by qubits 1 and 2; the state starts in two of them and never enters the others."""
+    Ha = LocalHamiltonian.from_signed(3, [(1.0, {0: "X"}), (0.5, {1: "Z"}), (0.7, {2: "Z"})])
+    Hb = LocalHamiltonian.from_signed(3, [(-0.6, {0: "X"}), (-0.5, {1: "Z"}), (0.4, {0: "Z", 1: "Z"}), (0.3, {2: "Z"})])
+    path = stoquastic_interpolation_path(Ha, Hb)
+    assert len(path.pieces) == 3
+    assert [idx.shape for idx, _, _ in pattern_blocks(path.pieces[0].pattern)] == [(4, 4)]
+    work = np.zeros(8)
+    work[[0, 2]] = [0.6, 0.8]  # qubit 1 reads 0 and 1, qubit 2 reads 0: two of the four blocks
+    initial = np.kron(work, MINUS)
+    want, rows = full_register_evolve(path, 12.0, 64, initial, "ground")
+    shapes = counting_stacked_solves(monkeypatch)
+    trace = evolve(path, 12.0, 64, initial, target="ground")
+    assert [shape for shape in shapes if len(shape) == 4] == [(32, 2, 4, 4), (8, 2, 4, 4), (24, 2, 4, 4)]
+    assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+    assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
+    assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+    assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
 
 
 def test_stack_blocks_are_held_to_their_own_scale():
@@ -351,7 +426,7 @@ def per_step_evolve(generator, P, T, steps, initial, target):
     record()
     for k in range(steps):
         H = classify_module._as_csr(generator((k + 0.5) / steps))
-        for idx, entries, slots in adiabatic._pattern_blocks(H):
+        for idx, entries, slots in pattern_blocks(H):
             b, m = idx.shape
             stack = np.zeros(b * m * m, dtype=H.dtype)
             stack[slots] = H.data[entries]
@@ -446,6 +521,35 @@ def test_ff_path_matches_build_ff_at_every_sample():
             path.sample(u).eliminate_zeros()  # in place; must not reach later samples
     with pytest.raises(ContractError, match="u must lie"):
         ff_schedule_path(base).sample(1.5)
+
+
+def weight_zero_block(s, L):
+    """M_0(s), H^FF(s) on span{psi_j (x) |c_j>}: s, 1, ..., 1, 1 - s on the diagonal, -sqrt(s(1-s)) beside it."""
+    hop = np.sqrt(s * (1.0 - s))
+    return np.diag([s] + [1.0] * (L - 1) + [1.0 - s]) - hop * (np.eye(L + 1, k=1) + np.eye(L + 1, k=-1))
+
+
+def test_adiabatic_run_at_13_qubits_matches_the_weight_zero_block(tmp_path, monkeypatch):
+    """n = 4, L = 8: a 2^13-dimensional register, of which the state only ever reaches one 36-state block."""
+    gates = tuple(rot(i % 4, 0.3 + 0.1 * i) if i % 2 == 0 else cnot(i % 4, (i + 1) % 4) for i in range(8))
+    circuit = QuantumCircuit(4, gates)
+    save_circuit(circuit, str(tmp_path / "c.json"))
+    T, steps, L = 32.0, 64, circuit.L
+    argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", str(T), "--steps", str(steps), "--shots", "256",
+            "--dense-cap", "8192", "--out", str(tmp_path / "r.json")]
+    shapes = counting_stacked_solves(monkeypatch)
+    assert run_command(argv) == 0
+    assert shapes == [(steps, 1, 36, 36)]
+    with open(tmp_path / "r.json", encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    phi = np.zeros(L + 1, dtype=complex)
+    phi[0] = 1.0
+    for k in range(steps):
+        vals, vecs = np.linalg.eigh(weight_zero_block((k + 0.5) / steps / 2.0, L))
+        phi = vecs @ (np.exp(-1j * vals * (T / steps)) * (vecs.T @ phi))
+    assert results["n"] == 4 and results["L"] == 8
+    assert abs(results["final_overlap"] - abs(phi.sum()) ** 2 / (L + 1)) <= 1e-10
+    assert abs(results["clock_success_probability"] - abs(phi[L]) ** 2) <= 1e-10
 
 
 def test_ff_path_evolution_matches_weight_zero_block():

@@ -17,7 +17,6 @@ from stoqmap import (
     identity_gate,
     legal_basis,
     output_distribution,
-    restricted_operator,
     rot,
 )
 
@@ -30,6 +29,28 @@ def identity_circuit(n, L):
 
 def rot_cnot_circuit():
     return QuantumCircuit(2, (rot(0, 0.3), cnot(0, 1), rot(1, -0.7)))
+
+
+def realize_term(ff, i):
+    """Clock term i embedded in the full register."""
+    return ff.terms[i].realize(ff.total_qubits)
+
+
+def realize_parts(ff):
+    """Sum of terms grouped by family: pin, clock, init, prop."""
+    families = {}
+    for i, term in enumerate(ff.terms):
+        family = term.label.split("_")[0]
+        families[family] = families.get(family, 0) + realize_term(ff, i)
+    return families
+
+
+def restricted_operator(ff):
+    """init + prop in the legal clock basis; block diagonal with blocks M_|x|."""
+    B = legal_basis(ff)
+    parts = realize_parts(ff)
+    H = parts.get("init", 0) + parts.get("prop", 0)
+    return np.asarray(B.conj().T @ (H @ B))
 
 
 # ------------------------------------------------------------------ gates
@@ -102,7 +123,7 @@ def test_every_term_is_a_projector():
     for s in (0.1, 0.5):
         ff = build_ff(rot_cnot_circuit(), s)
         for i in range(len(ff.terms)):
-            T = ff.realize_term(i).toarray()
+            T = realize_term(ff, i).toarray()
             assert np.linalg.norm(T @ T - T) <= 1e-10
             assert np.linalg.norm(T - T.conj().T) <= 1e-12
 
@@ -141,13 +162,13 @@ def test_history_state_annihilated_term_by_term():
     ff = build_ff(circuit, 0.25)
     h = history_state(circuit, 0.25)
     for i in range(len(ff.terms)):
-        assert np.linalg.norm(ff.realize_term(i) @ h) <= 1e-10
+        assert np.linalg.norm(realize_term(ff, i) @ h) <= 1e-10
 
 
 def test_non_unary_clock_patterns_cost_at_least_one():
     circuit = identity_circuit(1, 3)
     ff = build_ff(circuit, 0.5)
-    parts = ff.realize_parts()
+    parts = realize_parts(ff)
     pen = (parts["pin"] + parts["clock"]).toarray()
     L = circuit.L
     cdim = 1 << (L + 1)

@@ -196,7 +196,7 @@ def _kernel_case(name):
         return m.realize(), m.terms
     if name == "ff":
         ff = build_ff(QuantumCircuit(2, (rot(0, 0.3), cnot(0, 1), rot(1, -0.7))), 0.3)
-        return ff.realize(), [(1.0, ff.realize_term(i)) for i in range(len(ff.terms))]
+        return ff.realize(), [(1.0, term.realize(ff.total_qubits)) for term in ff.terms]
     if name == "sat":
         projectors = [LocalHamiltonian.from_signed(2, [(0.5, {}), (0.5 * s, {q: "Z"})])
                       for s, q in ((1, 0), (-1, 1), (1, 1))]

@@ -37,6 +37,7 @@ from stoqmap import (
 )
 from stoqmap.spectra import DEGENERACY_TOL
 
+adiabatic_module = importlib.import_module("stoqmap.adiabatic")
 classify_module = importlib.import_module("stoqmap.classify")
 
 TOL = 1e-10
@@ -254,14 +255,23 @@ def test_each_command_makes_only_the_solves_its_report_reads(tmp_path, monkeypat
 
 
 def test_adiabatic_run_solves_each_block_size_once(tmp_path, monkeypatch):
-    """The clock-adiabatic workload's run: 64 steps, blocks of sizes 1, 4, 6 and 16, one stacked solve each."""
+    """The clock-adiabatic workload's run: 64 steps, blocks of sizes 1, 4, 6 and 16.
+
+    The state starts in the one 16-state block of legal clock states and
+    never leaves it, so that block is the only one solved: once, for all
+    64 steps.
+    """
     circuit = QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1), rot(1, 0.9)))
     save_circuit(circuit, str(tmp_path / "c.json"))
     calls = counted_solves(monkeypatch)
+    shapes = []
+    counted = adiabatic_module._eigh
+    monkeypatch.setattr(adiabatic_module, "_eigh", lambda M, *args: shapes.append(M.shape) or counted(M, *args))
     argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", "32", "--steps", "64", "--shots", "256",
             "--seed", "7", "--out", str(tmp_path / "r.json")]
     assert run_command(argv) == 0
-    assert calls == [(True, 4)] * 4
+    assert calls == [(True, 4)]
+    assert shapes == [(64, 1, 16, 16)]
 
 
 def test_gap_scan_solves_each_block_length_once(tmp_path, monkeypatch):
