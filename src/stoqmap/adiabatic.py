@@ -48,10 +48,9 @@ class PathPiece:
     def data(self, u, entries=slice(None)) -> np.ndarray:
         """The stored values of H(u) for every u at once, (len(u) x entries): the parts summed left to right."""
         c = self.coefficients(np.asarray(u, dtype=float))
-        parts = self.parts[:, entries]
-        data = c[:, :1] * parts[0]
-        for j in range(1, len(parts)):
-            data += c[:, j:j + 1] * parts[j]
+        data = c[:, :1] * self.parts[0, entries]
+        for j in range(1, len(self.parts)):
+            data += c[:, j:j + 1] * self.parts[j, entries]
         return data
 
 
@@ -180,16 +179,15 @@ class AdiabaticTrace:
     steps: int
 
 
-def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The invariant blocks of H: the connected components of its stored pattern, grouped by size.
+def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> tuple[list, list]:
+    """The invariant blocks of H, the connected components of its stored pattern, grouped by size:
+    the groups of components that meet reach (a boolean over the basis), and of those that miss it.
 
     Group (idx, entries, slots) stacks its b components of size m:
     idx[j] lists component j's basis indices in ascending order, and
     H.data[entries] lands at the flat positions slots of the dense
     (b, m, m) stack. The graph is read from indptr/indices only, so a
-    stored entry couples its row and column whatever its value. No group
-    mixes components that meet reach, a boolean over the basis, with
-    components that miss it.
+    stored entry couples its row and column whatever its value.
     """
     from scipy.sparse.csgraph import connected_components  # on first use: no other command needs its ~1 MB
 
@@ -202,16 +200,16 @@ def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list[tuple[np.ndarra
     where = np.empty(dim, dtype=np.intp)
     where[order] = np.arange(dim)
     rows, cols, _ = _csr_entries(H)
-    groups = []
+    active, idle = [], []
     start = 0
     for k in np.unique(key):
         stop = start + np.count_nonzero(key == k)
         m = size[order[start]]
         entries = np.flatnonzero(key[rows] == k)
         r, c = where[rows[entries]] - start, where[cols[entries]] - start
-        groups.append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
+        (active if k % 2 else idle).append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
         start = stop
-    return groups
+    return active, idle
 
 
 def _block_stacks(piece: PathPiece, mids: np.ndarray, groups, dense_cap: int):
@@ -248,10 +246,8 @@ def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: i
         mids = u[at == j]
         if not mids.size:
             continue
-        blocks = _pattern_blocks(piece.pattern, reach)
-        active = [group for group in blocks if reach[group[0][0]].any()]
-        idle = [group for group in blocks if not reach[group[0][0]].any()]
-        for group in idle:  # one group at a time: nothing of it is kept
+        active, idle = _pattern_blocks(piece.pattern, reach)
+        for group in idle:  # one group at a time, so the idle stacks are never all held at once
             for (stack,) in _block_stacks(piece, mids, [group], dense_cap):
                 if not _is_hermitian(stack):
                     raise ContractError("matrix is not Hermitian")
@@ -283,11 +279,11 @@ def evolve(
     Each step propagates the midpoint sample block by block (see
     _pattern_blocks). The samples do not depend on the state, so they are
     solved ahead of the steps that apply them, per piece in stacked
-    batches (see _midpoint_factors); a block of size 1 is a phase. The
-    blocks are found once per piece, and only those the state can reach
-    from the support of `initial` are solved: the others hold zero and
-    are only checked Hermitian. dense_cap bounds the path's whole
-    dimension, checked once, before anything dense is built.
+    batches (see _midpoint_factors). The blocks are found once per piece,
+    and only those the state can reach from the support of `initial` are
+    solved: the others hold zero and are only checked Hermitian. dense_cap
+    bounds the path's whole dimension, checked once, before anything
+    dense is built.
     """
     if steps < 1:
         raise ContractError("need at least one step")
@@ -330,14 +326,19 @@ def evolve(
     record(0, 0.0)
     for k, factors in enumerate(_midpoint_factors(path, steps, dt, dense_cap, psi != 0)):
         for idx, phases, vecs in factors:
-            if idx.shape[1] == 1:
-                psi[idx[:, 0]] *= phases[:, 0]  # a 1 x 1 block's eigenvector is exactly 1
-            else:
-                amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
-                psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
+            amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
+            psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1, (k + 1.0) / steps)
-    return AdiabaticTrace(times=times, u_values=u_values, overlaps=overlaps, sector_populations=pops, norms=norms,
-                          final_state=psi, T=T, steps=steps)
+    return AdiabaticTrace(
+        times=times,
+        u_values=u_values,
+        overlaps=overlaps,
+        sector_populations=pops,
+        norms=norms,
+        final_state=psi,
+        T=T,
+        steps=steps,
+    )
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,10 @@ def plus(piece, M, end=None):
 
 
 def pattern_blocks(H):
-    """The blocks of H's pattern grouped by size alone: no basis index is marked reachable."""
-    return adiabatic._pattern_blocks(H, np.zeros(H.shape[0], dtype=bool))
+    """The blocks of H's pattern grouped by size alone: with no basis index reachable, every group is idle."""
+    active, idle = adiabatic._pattern_blocks(H, np.zeros(H.shape[0], dtype=bool))
+    assert not active
+    return idle
 
 
 def projector(path):
