@@ -85,14 +85,6 @@ class HamiltonianPath:
         ends = [piece.end for piece in self.pieces]
         return np.minimum(np.searchsorted(ends, u, side="right"), len(ends) - 1)
 
-    def sample(self, u: float) -> sp.csr_matrix:
-        """H(u) as its own CSR matrix, read from the same parts as evolve's samples."""
-        if not (0.0 <= u <= 1.0):
-            raise ContractError(f"schedule parameter u must lie in [0, 1], got {u}")
-        piece = self.pieces[int(self.piece_at(u))]
-        return sp.csr_matrix((piece.data([u])[0], piece.pattern.indices.copy(), piece.pattern.indptr.copy()),
-                             shape=piece.pattern.shape)
-
 
 def _on_one_pattern(dim: int, parts) -> tuple[sp.csr_matrix, np.ndarray]:
     """Each part's (rows, cols, vals) summed onto one canonical CSR pattern: the union of their positions.
@@ -212,54 +204,58 @@ def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> tuple[list, list]:
     return active, idle
 
 
-def _block_stacks(piece: PathPiece, mids: np.ndarray, groups, dense_cap: int):
-    """Batches of the samples at mids, as each group's dense (count, b, m, m) stack of blocks.
+def _block_stacks(piece: PathPiece, points: np.ndarray, groups, dense_cap: int):
+    """Batches of the samples at points, as each group's dense (count, b, m, m) stack of blocks.
 
-    Only the groups' own entries are formed (PathPiece.data), and a batch
-    holds at most dense_cap**2 entries in all, as one dense solve at the cap does.
+    Every group's block size m is checked against dense_cap first. Only
+    the groups' own entries are formed (PathPiece.data), and a batch holds
+    at most dense_cap**2 entries in all, as one dense solve at the cap
+    does, or one sample when a single sample's blocks hold more.
     """
-    per_batch = dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in groups)
-    for start in range(0, mids.size, per_batch):
+    for idx, _, _ in groups:
+        _check_dense_cap(idx.shape[1], dense_cap)
+    per_batch = max(1, dense_cap**2 // sum(idx.size * idx.shape[1] for idx, _, _ in groups))
+    for start in range(0, points.size, per_batch):
         stacks = []
         for idx, entries, slots in groups:
-            data = piece.data(mids[start:start + per_batch], entries)
+            data = piece.data(points[start:start + per_batch], entries)
             stack = np.zeros((len(data), idx.size * idx.shape[1]), dtype=data.dtype)
             stack[:, slots] = data
             stacks.append(stack.reshape(len(data), *idx.shape, idx.shape[1]))
         yield stacks
 
 
-def _midpoint_factors(path: HamiltonianPath, steps: int, dt: float, dense_cap: int, reach: np.ndarray):
-    """For each step k, [(idx, phases, vecs) per solved block size] of the sample H((k + 1/2)/steps).
+def _solved_samples(path: HamiltonianPath, u: np.ndarray, dense_cap: int, reach: np.ndarray, dt: float | None = None):
+    """For each u in turn (ascending), [(idx, vals, vecs) per solved block size] of the sample H(u).
 
-    phases are exp(-i vals dt). Each piece's blocks are found once, and
-    only its active blocks are solved: those meeting reach, the boolean
-    support of the state, which each piece then extends by its active
-    blocks. An idle block holds an exactly zero state, which propagates
-    to zero, so it is never solved, but every sample of it must still
-    pass pauli._is_hermitian. Each batch (see _block_stacks) is solved
-    with one stacked _eigh per active block size.
+    With dt, vals are replaced by the phases exp(-i vals dt), computed per
+    batch. Each piece's blocks are found once, and only its active blocks
+    are solved: those meeting reach, the boolean support of the state,
+    which each piece then extends by its active blocks (an all-true reach
+    solves every block). An idle block holds an exactly zero state, which
+    propagates to zero, so it is never solved, but every sample of it
+    must still pass pauli._is_hermitian. Each batch (see _block_stacks)
+    is solved with one stacked _eigh per active block size.
     """
-    u = (np.arange(steps) + 0.5) / steps
     at = path.piece_at(u)
     for j, piece in enumerate(path.pieces):
-        mids = u[at == j]
-        if not mids.size:
+        points = u[at == j]
+        if not points.size:
             continue
         active, idle = _pattern_blocks(piece.pattern, reach)
         for group in idle:  # one group at a time, so the idle stacks are never all held at once
-            for (stack,) in _block_stacks(piece, mids, [group], dense_cap):
+            for (stack,) in _block_stacks(piece, points, [group], dense_cap):
                 if not _is_hermitian(stack):
                     raise ContractError("matrix is not Hermitian")
         for idx, _, _ in active:
             reach[idx] = True
-        for stacks in _block_stacks(piece, mids, active, dense_cap):
-            factors = []
+        for stacks in _block_stacks(piece, points, active, dense_cap):
+            solved = []
             for (idx, _, _), stack in zip(active, stacks):
                 vals, vecs = _eigh(stack, dense_cap)
-                factors.append((idx, np.exp(-1j * vals * dt), vecs))
+                solved.append((idx, vals if dt is None else np.exp(-1j * vals * dt), vecs))
             for k in range(len(stacks[0])):
-                yield [(idx, phases[k], vecs[k]) for idx, phases, vecs in factors]
+                yield [(idx, vals[k], vecs[k]) for idx, vals, vecs in solved]
 
 
 def evolve(
@@ -279,30 +275,38 @@ def evolve(
     Each step propagates the midpoint sample block by block (see
     _pattern_blocks). The samples do not depend on the state, so they are
     solved ahead of the steps that apply them, per piece in stacked
-    batches (see _midpoint_factors). The blocks are found once per piece,
+    batches (see _solved_samples). The blocks are found once per piece,
     and only those the state can reach from the support of `initial` are
-    solved: the others hold zero and are only checked Hermitian. dense_cap
-    bounds the path's whole dimension, checked once, before anything
-    dense is built.
+    solved: the others hold zero and are only checked Hermitian. The
+    ground space at each record point is read off every block of that
+    sample, solved the same way. dense_cap bounds each block, checked
+    before its stack is built; the register itself is bounded only by
+    MAX_QUBITS.
     """
     if steps < 1:
         raise ContractError("need at least one step")
     if not (math.isfinite(T) and T > 0):
         raise ContractError(f"total time T must be finite and positive, got {T}")
     psi = np.asarray(initial, dtype=complex).ravel().copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ContractError("initial state is not normalized")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # a NaN norm fails this too
+        raise ContractError("initial state must be finite and normalized")
     if psi.size != path.dim:
         raise ContractError(f"path has dimension {path.dim}, the state has dimension {psi.size}")
-    _check_dense_cap(path.dim, dense_cap)
     dt = T / steps
+    ground = None
+    if isinstance(target, str) and target == "ground":
+        ground = _solved_samples(path, np.arange(steps + 1) / steps, dense_cap, np.ones(path.dim, dtype=bool))
 
-    def overlap_at(u: float, state: np.ndarray) -> float:
-        if isinstance(target, str) and target == "ground":
-            vals, vecs = _eigh(path.sample(u), dense_cap)
-            ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
-            return float(np.linalg.norm(ground.conj().T @ state) ** 2)
-        return float(abs(np.vdot(target, state)) ** 2)
+    def overlap_at(state: np.ndarray) -> float:
+        if ground is None:
+            return float(abs(np.vdot(target, state)) ** 2)
+        blocks = next(ground)  # every block of the sample at this record point
+        lowest = min(vals.min() for _, vals, _ in blocks)
+        overlap = 0.0
+        for idx, vals, vecs in blocks:
+            amplitudes = np.einsum("bji,bj->bi", vecs.conj(), state[idx])
+            overlap += np.sum(np.abs(amplitudes[vals <= lowest + DEGENERACY_TOL]) ** 2)
+        return float(overlap)
 
     samples = steps + 1
     times = np.linspace(0.0, T, samples)
@@ -315,20 +319,21 @@ def evolve(
         row_projector = np.outer(vector.conj(), vector)  # psi[index] @ row_projector: each row's projection
         projected = np.zeros_like(psi)  # the sector's projector applied to psi; only index is ever written
 
-    def record(k: int, u: float):
+    def record(k: int):
         norms[k] = np.linalg.norm(psi)
         if overlaps is not None:
-            overlaps[k] = overlap_at(u, psi)
+            overlaps[k] = overlap_at(psi)
         if pops is not None:
             projected[index] = psi[index] @ row_projector
             pops[k] = float(np.real(np.vdot(psi, projected)))
 
-    record(0, 0.0)
-    for k, factors in enumerate(_midpoint_factors(path, steps, dt, dense_cap, psi != 0)):
+    record(0)
+    midpoints = (np.arange(steps) + 0.5) / steps
+    for k, factors in enumerate(_solved_samples(path, midpoints, dense_cap, psi != 0, dt)):
         for idx, phases, vecs in factors:
             amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
             psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
-        record(k + 1, (k + 1.0) / steps)
+        record(k + 1)
     return AdiabaticTrace(
         times=times,
         u_values=u_values,

@@ -78,23 +78,9 @@ class MappedHamiltonian:
     def sector_labels(self) -> tuple[str, ...]:
         return tuple(self.sector_basis)
 
-    @property
-    def terms(self) -> tuple[tuple[float, sp.csr_matrix], ...]:
-        """(weight, P_t) one term at a time: the reference realize() is tested against."""
-        cols, ones = np.arange(self.dim), np.ones(self.dim)
-        return tuple((float(w), sp.csr_matrix((ones, (r, cols)), shape=(self.dim, self.dim)))
-                     for w, r in zip(self.weights, self.rows))
-
     def realize(self) -> sp.csr_matrix:
         cols = np.arange(self.dim, dtype=np.int32)
         return _sum_terms(self.dim, [(self.weights[:, None], self.rows, cols, 1.0)])
-
-    def sector_isometry(self, sector: str) -> sp.csr_matrix:
-        basis = self.sector_basis
-        if sector not in basis:
-            raise ContractError(f"unknown sector {sector!r}; have {sorted(basis)}")
-        a = basis[sector].reshape(-1, 1)
-        return sp.kron(sp.identity(1 << self.n, format="csr"), sp.csr_matrix(a), format="csr")
 
     def _sector_entries(self, realized: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, w): stored entry t of `realized` adds w[s, t] at (i[t], j[t]) of sector s's block.

@@ -17,9 +17,9 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ResourceError
 
-# Largest register any sparse realization will build; 2^14 keeps dense fallbacks sane.
+# The one cap rule: MAX_QUBITS bounds a register (no sparse realization is larger than 2^14),
+# and DENSE_CAP bounds every dense matrix and every block of a stacked solve (12 qubits' worth).
 MAX_QUBITS = 14
-# Largest dimension handed to a dense solver (12 qubits).
 DENSE_CAP = 4096
 # Largest entry of A - A^dagger, relative to max(1, max|A|), that still counts as Hermitian.
 HERMITIAN_TOL = 1e-10

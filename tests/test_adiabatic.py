@@ -39,6 +39,7 @@ from stoqmap import (
 
 from stoqmap.pauli import _csr_entries
 from stoqmap.spectra import DEGENERACY_TOL
+from oracles import sample
 from test_clock_path import four_part_path
 
 adiabatic = importlib.import_module("stoqmap.adiabatic")
@@ -135,10 +136,31 @@ def test_evolve_rejects_bad_inputs():
             evolve(guarded, 1.0, 10, np.array([1.0, 0.0, 0.0]), target=target)
 
 
-def test_evolve_checks_every_sample_before_diagonalizing():
-    circuit = QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2)))  # 16-dimensional samples
-    with pytest.raises(ResourceError, match="dense cap 8"):
-        evolve(ff_schedule_path(circuit), 1.0, 4, ff_initial(circuit), target=None, dense_cap=8)
+def test_evolve_refuses_a_non_finite_initial_state():
+    """A NaN norm fails no comparison, so the normalization check alone would let it through."""
+    path = affine_path([np.diag([0.0, 1.0])], ones)
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [np.nan, np.inf], [1.0, np.nan]):
+        with pytest.raises(ContractError, match="finite and normalized"):
+            evolve(path, 1.0, 4, np.array(bad), target=None)
+
+
+def test_evolve_checks_every_sample_before_diagonalizing(monkeypatch):
+    """dense_cap bounds blocks, not the register: the 16-dimensional samples split into a reachable
+    6-state legal block, an idle 4-state block and six 1-state blocks."""
+    circuit = QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2)))
+    path, initial = ff_schedule_path(circuit), ff_initial(circuit)
+    shapes = counting_stacked_solves(monkeypatch)
+    for cap in (2, 5):  # below the idle 4-state block, then below only the reachable 6-state block
+        for target in (None, "ground"):
+            with pytest.raises(ResourceError, match=f"exceeds the dense cap {cap}"):
+                evolve(path, 1.0, 4, initial, target=target, dense_cap=cap)
+    assert shapes == []  # refused before any block is solved
+    trace = evolve(path, 1.0, 4, initial, target=None, dense_cap=8)
+    assert shapes == [(1, 1, 6, 6)] * 4  # a batch holds 8**2 // 36 = 1 sample
+    assert np.array_equal(trace.final_state, evolve(path, 1.0, 4, initial, target=None).final_state)
+    # every block of one ground sample holds 36 + 16 + 6 = 58 entries, more than 6**2: one sample per batch
+    ground = evolve(path, 1.0, 4, initial, target="ground", dense_cap=6)
+    assert np.array_equal(ground.overlaps, evolve(path, 1.0, 4, initial, target="ground").overlaps)
     skew = affine_path([np.array([[0.0, 1.0], [0.0, 0.0]])], ones)
     with pytest.raises(ContractError, match="Hermitian"):
         evolve(skew, 1.0, 1, np.array([1.0, 0.0]), target=None)
@@ -155,7 +177,7 @@ def full_register_evolve(path, T, steps, initial, target):
 
     def record(u):
         if isinstance(target, str):
-            vals, vecs = np.linalg.eigh(path.sample(u).toarray())
+            vals, vecs = np.linalg.eigh(sample(path, u).toarray())
             ground = vecs[:, vals <= vals[0] + DEGENERACY_TOL]
             overlap = np.linalg.norm(ground.conj().T @ psi) ** 2
         else:
@@ -165,10 +187,38 @@ def full_register_evolve(path, T, steps, initial, target):
 
     record(0.0)
     for k in range(steps):
-        vals, vecs = np.linalg.eigh(path.sample((k + 0.5) / steps).toarray())
+        vals, vecs = np.linalg.eigh(sample(path, (k + 0.5) / steps).toarray())
         psi = vecs @ (np.exp(-1j * vals * (T / steps)) * (vecs.conj().T @ psi))
         record((k + 1.0) / steps)
     return psi, np.array(rows)
+
+
+def test_ground_space_across_two_blocks_matches_the_oracle():
+    """A ground space split over blocks of two sizes: [[u, -1], [-1, 1 - u]] on {0, 1}, and its mirror
+    [[1 - u, -1], [-1, u]] on {2, 3} joined to a level 5 on {4} by a stored coupling of coefficient 0,
+    share their lowest eigenvalue at every u; a level 3 on {5} lies above it."""
+    constant, joining = np.diag([0.0, 1.0, 1.0, 0.0, 5.0, 3.0]), np.zeros((6, 6))
+    constant[[0, 1, 2, 3], [1, 0, 3, 2]] = -1.0
+    joining[[3, 4], [4, 3]] = 1.0
+    moving = np.diag([1.0, -1.0, -1.0, 1.0, 0.0, 0.0])
+    path = affine_path([constant, moving, joining], lambda u: np.column_stack([np.ones(u.size), u, np.zeros(u.size)]))
+    initial = np.array([0.6, 0.0, 0.48, 0.0, 0.0, 0.64])
+    assert sorted(idx.shape for idx, _, _ in pattern_blocks(path.pieces[0].pattern)) == [(1, 1), (1, 2), (1, 3)]
+    for u in (0.0, 0.3, 1.0):
+        H = sample(path, u).toarray()
+        lowest = [np.linalg.eigvalsh(H[a:b, a:b])[0] for a, b in ((0, 2), (2, 5), (5, 6))]
+        assert abs(lowest[0] - lowest[1]) <= 1e-14 and lowest[2] > lowest[0] + 1.0
+    T, steps = 12.0, 64
+    want, rows = full_register_evolve(path, T, steps, initial, "ground")
+    trace = evolve(path, T, steps, initial, target="ground")
+    assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+    assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
+    assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+    shares = []  # each degenerate block's part of the ground population at u = 0
+    for a, b in ((0, 2), (2, 5)):
+        vals, vecs = np.linalg.eigh(sample(path, 0.0).toarray()[a:b, a:b])
+        shares.append(abs(vecs[:, 0] @ initial[a:b]) ** 2)
+    assert min(shares) > 0.05 and abs(trace.overlaps[0] - sum(shares)) <= 1e-12
 
 
 def counting_component_searches(monkeypatch):
@@ -232,7 +282,8 @@ def oracle_case(name):
         if name == "stoquastic_flips":  # three pieces
             Hb = LocalHamiltonian.from_signed(2, [(-0.6, {0: "X"}), (-0.5, {1: "Z"}), (0.3, {1: "X"})])
         path = stoquastic_interpolation_path(Ha, Hb)
-        return path, np.kron([1.0, 0.0, 0.0, 0.0], MINUS), "ground", len(path.pieces)
+        # a ground run searches each piece twice: every block, then the reachable ones
+        return path, np.kron([1.0, 0.0, 0.0, 0.0], MINUS), "ground", 2 * len(path.pieces)
     if name == "duplicates":  # the 0-1 coupling is stored as two entries that add up when the path is built
         constant = sp.csr_matrix((np.array([0.2, 0.3, 0.5, 1.0]), np.array([1, 1, 0, 2]), np.array([0, 2, 3, 4])),
                                  shape=(3, 3))
@@ -273,7 +324,7 @@ def test_blocks_are_the_pattern_components():
     assert shapes(imaginary_path()) == [(2, 2)]
     # the ff path's u = 0 sample stores its zero hop entries, so it has the same blocks
     path = ff_schedule_path(ROT_CNOT_ROT)
-    assert sorted(idx.shape for idx, _, _ in pattern_blocks(path.sample(0.0))) == shapes(path)
+    assert sorted(idx.shape for idx, _, _ in pattern_blocks(sample(path, 0.0))) == shapes(path)
 
 
 def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
@@ -391,7 +442,9 @@ def test_stoquastic_flips_from_a_state_across_blocks(monkeypatch):
     want, rows = full_register_evolve(path, 12.0, 64, initial, "ground")
     shapes = counting_stacked_solves(monkeypatch)
     trace = evolve(path, 12.0, 64, initial, target="ground")
-    assert [shape for shape in shapes if len(shape) == 4] == [(32, 2, 4, 4), (8, 2, 4, 4), (24, 2, 4, 4)]
+    # per piece: every block at its 32, 8 and 25 record points for the ground overlap, then the two
+    # reachable blocks at its 32, 8 and 24 midpoints for the steps
+    assert shapes == [(32, 4, 4, 4), (32, 2, 4, 4), (8, 4, 4, 4), (8, 2, 4, 4), (25, 4, 4, 4), (24, 2, 4, 4)]
     assert np.max(np.abs(trace.final_state - want)) <= 1e-12
     assert np.max(np.abs(trace.norms - rows[:, 0])) <= 1e-12
     assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
@@ -459,19 +512,35 @@ def test_batched_evolve_is_bitwise_the_per_step_loop(name):
 
 
 def test_vector_target_evolve_builds_no_sample(monkeypatch):
-    """evolve reads every midpoint sample from its piece's coefficient product: no CSR per sample."""
+    """evolve reads every sample, midpoint or record point, from its piece's coefficient product: no
+    target builds a CSR per sample. The CSR matrices it does build (the graph of each component search)
+    do not grow with the step count."""
     def refuse(*args, **kwargs):
         raise AssertionError("evolve built a per-sample CSR")
 
     path, initial, target, _ = oracle_case("ff0")
-    want = evolve(path, 12.0, 64, initial, target=target)
+    targets = (target, "ground", None)
+    want = [evolve(path, 12.0, 64, initial, target=t) for t in targets]
     for module in (adiabatic, classify_module):
         monkeypatch.setattr(module, "_as_csr", refuse, raising=False)
-    monkeypatch.setattr(HamiltonianPath, "sample", refuse)
-    trace = evolve(path, 12.0, 64, initial, target=target)
-    assert np.array_equal(trace.final_state, want.final_state)
-    with pytest.raises(AssertionError, match="per-sample CSR"):
-        evolve(path, 12.0, 64, initial, target="ground")  # the ground overlap does read samples
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    init = sp.csr_matrix.__init__
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counted)
+    for t, w in zip(targets, want):
+        counts = []
+        for steps in (8, 64):
+            built.clear()
+            trace = evolve(path, 12.0, steps, initial, target=t)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+        assert np.array_equal(trace.final_state, w.final_state)
+        if t is not None:
+            assert np.array_equal(trace.overlaps, w.overlaps)
 
 
 def test_injected_legal_illegal_coupling_leaks_from_ff_path():
@@ -516,13 +585,13 @@ def test_ff_path_matches_build_ff_at_every_sample():
     for circuit in circuits:
         path = ff_schedule_path(circuit)
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            got = path.sample(u).toarray()
+            got = sample(path, u).toarray()
             want = build_ff(circuit, u / 2.0).realize().toarray()
             assert got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-14
-            path.sample(u).eliminate_zeros()  # in place; must not reach later samples
+            sample(path, u).eliminate_zeros()  # in place; must not reach later samples
     with pytest.raises(ContractError, match="u must lie"):
-        ff_schedule_path(base).sample(1.5)
+        sample(ff_schedule_path(base), 1.5)
 
 
 def weight_zero_block(s, L):
@@ -531,27 +600,55 @@ def weight_zero_block(s, L):
     return np.diag([s] + [1.0] * (L - 1) + [1.0 - s]) - hop * (np.eye(L + 1, k=1) + np.eye(L + 1, k=-1))
 
 
-def test_adiabatic_run_at_13_qubits_matches_the_weight_zero_block(tmp_path, monkeypatch):
-    """n = 4, L = 8: a 2^13-dimensional register, of which the state only ever reaches one 36-state block."""
-    gates = tuple(rot(i % 4, 0.3 + 0.1 * i) if i % 2 == 0 else cnot(i % 4, (i + 1) % 4) for i in range(8))
-    circuit = QuantumCircuit(4, gates)
+def weight_zero_circuit(L):
+    """n = 4 work qubits under L alternating ROT and CNOT gates: an (L + 5)-qubit clock register."""
+    return QuantumCircuit(4, tuple(rot(i % 4, 0.3 + 0.1 * i) if i % 2 == 0 else cnot(i % 4, (i + 1) % 4)
+                                   for i in range(L)))
+
+
+def clock_runs(tmp_path, circuit, T, steps, caps):
+    """The results of one adiabatic run of circuit per --dense-cap argument list in caps."""
     save_circuit(circuit, str(tmp_path / "c.json"))
-    T, steps, L = 32.0, 64, circuit.L
-    argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", str(T), "--steps", str(steps), "--shots", "256",
-            "--dense-cap", "8192", "--out", str(tmp_path / "r.json")]
-    shapes = counting_stacked_solves(monkeypatch)
-    assert run_command(argv) == 0
-    assert shapes == [(steps, 1, 36, 36)]
-    with open(tmp_path / "r.json", encoding="utf-8") as fh:
-        results = json.load(fh)["results"]
+    runs = []
+    for cap in caps:
+        argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", str(T), "--steps", str(steps), "--shots", "256",
+                "--out", str(tmp_path / "r.json")]
+        assert run_command(argv + cap) == 0
+        with open(tmp_path / "r.json", encoding="utf-8") as fh:
+            runs.append(json.load(fh)["results"])
+    return runs
+
+
+def assert_matches_weight_zero_block(results, T, steps, L):
     phi = np.zeros(L + 1, dtype=complex)
     phi[0] = 1.0
     for k in range(steps):
         vals, vecs = np.linalg.eigh(weight_zero_block((k + 0.5) / steps / 2.0, L))
         phi = vecs @ (np.exp(-1j * vals * (T / steps)) * (vecs.T @ phi))
-    assert results["n"] == 4 and results["L"] == 8
+    assert results["n"] == 4 and results["L"] == L
     assert abs(results["final_overlap"] - abs(phi.sum()) ** 2 / (L + 1)) <= 1e-10
     assert abs(results["clock_success_probability"] - abs(phi[L]) ** 2) <= 1e-10
+
+
+def test_adiabatic_run_at_13_qubits_matches_the_weight_zero_block(tmp_path, monkeypatch):
+    """n = 4, L = 8: a 2^13-dimensional register, of which the state only ever reaches one 36-state block.
+    The dense cap bounds that block, not the register, so the default cap and 8192 give the same run."""
+    T, steps = 32.0, 64
+    shapes = counting_stacked_solves(monkeypatch)
+    runs = clock_runs(tmp_path, weight_zero_circuit(8), T, steps, [[], ["--dense-cap", "8192"]])
+    assert shapes == [(steps, 1, 36, 36)] * 2
+    assert runs[0] == runs[1]
+    assert_matches_weight_zero_block(runs[0], T, steps, 8)
+
+
+def test_adiabatic_run_at_14_qubits_under_the_default_cap(tmp_path, monkeypatch):
+    """n = 4, L = 9: the largest clock register MAX_QUBITS allows, four times the default dense cap;
+    the state only ever reaches one 40-state block."""
+    T, steps = 32.0, 64
+    shapes = counting_stacked_solves(monkeypatch)
+    (results,) = clock_runs(tmp_path, weight_zero_circuit(9), T, steps, [[]])
+    assert shapes == [(steps, 1, 40, 40)]
+    assert_matches_weight_zero_block(results, T, steps, 9)
 
 
 def test_ff_path_evolution_matches_weight_zero_block():
@@ -648,7 +745,7 @@ def test_stoquastic_path_is_the_stoquastized_interpolation():
         assert all(len(piece.parts) == 2 for piece in path.pieces)
         for u in grid:
             want = stoquastize(A.scaled(1.0 - u) + B.scaled(u)).realize().toarray()
-            assert np.max(np.abs(path.sample(u).toarray() - want)) <= 1e-12
+            assert np.max(np.abs(sample(path, u).toarray() - want)) <= 1e-12
     path = stoquastic_interpolation_path(Ha, Hb)
     assert np.array_equal(path.pieces[0].coefficients(grid), np.column_stack([1.0 - grid, grid]))
     one_piece = [stoquastize(H).realize().toarray() for H in (Ha, flipped)]

@@ -18,6 +18,8 @@ from stoqmap.classify import _as_csr
 from stoqmap.clock import _fixed_terms, _propagation_pieces
 from stoqmap.pauli import _csr_entries, _embed_entries, _sum_terms
 
+from oracles import sample
+
 U_GRID = np.linspace(0.0, 1.0, 17)
 
 
@@ -107,7 +109,7 @@ def test_path_samples_are_bitwise_the_four_part_construction(index):
     circuit = CIRCUITS[index]
     path, reference = ff_schedule_path(circuit), four_part_path(circuit)
     for u in U_GRID:
-        assert_bitwise_equal(path.sample(u), reference(u))
+        assert_bitwise_equal(sample(path, u), reference(u))
 
 
 def test_path_on_13_qubits_is_bitwise_the_four_part_construction():
@@ -117,7 +119,7 @@ def test_path_on_13_qubits_is_bitwise_the_four_part_construction():
     assert any(g.name == "CUSTOM" and not g.is_real() for g in circuit.gates)
     path, reference = ff_schedule_path(circuit), four_part_path(circuit)
     for u in U_GRID[::4]:
-        assert_bitwise_equal(path.sample(u), reference(u))
+        assert_bitwise_equal(sample(path, u), reference(u))
 
 
 def kron_embed(local, qubits, n):

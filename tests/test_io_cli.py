@@ -621,7 +621,7 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
         assert f"error: {utf16}: not UTF-8 text" in capsys.readouterr().err
 
 
-def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):
+def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys, monkeypatch):
     h = tmp_path / "h.json"
     save_hamiltonian(random_instance(4, seed=1), str(h))
     c = tmp_path / "c.json"
@@ -629,8 +629,22 @@ def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys):
     out = ["--dense-cap", "8", "--out", str(tmp_path / "r.json")]
     assert run_command(["protocol", "excited", str(h), "--c", "2", "--a", "0", "--b", "1"] + out) == 2
     assert "dense cap 8" in capsys.readouterr().err
-    assert run_command(["adiabatic", "run", str(c), "--steps", "4"] + out) == 2
-    assert "dense cap 8" in capsys.readouterr().err
+    # adiabatic run's cap bounds blocks, not its 16-dimensional register: the largest block has 6 states
+    adiabatic = sys.modules["stoqmap.adiabatic"]
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return eigh(*args, **kwargs)
+
+    eigh = adiabatic._eigh
+    monkeypatch.setattr(adiabatic, "_eigh", counted)
+    argv = ["adiabatic", "run", str(c), "--steps", "4", "--out", str(tmp_path / "r.json"), "--dense-cap"]
+    assert run_command(argv + ["2"]) == 2
+    assert "dense cap 2" in capsys.readouterr().err
+    assert solves == []  # refused before any block is solved
+    assert run_command(argv + ["8"]) == 0
+    assert solves
 
 
 def test_each_command_diagonalizes_once(tmp_path, monkeypatch):

@@ -27,6 +27,8 @@ from stoqmap import (
     stoquastize,
 )
 
+from oracles import mapped_terms
+
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -193,7 +195,7 @@ def _kernel_case(name):
     if name in mapped:
         m = mapped[name]()
         assert m.kind == name
-        return m.realize(), m.terms
+        return m.realize(), mapped_terms(m)
     if name == "ff":
         ff = build_ff(QuantumCircuit(2, (rot(0, 0.3), cnot(0, 1), rot(1, -0.7))), 0.3)
         return ff.realize(), [(1.0, term.realize(ff.total_qubits)) for term in ff.terms]

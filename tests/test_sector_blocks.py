@@ -37,6 +37,7 @@ from stoqmap import (
 )
 from stoqmap.mapping import MappedHamiltonian
 from stoqmap.pauli import _csr_entries
+from oracles import sector_isometry
 
 cli = importlib.import_module("stoqmap.cli")
 classify_module = importlib.import_module("stoqmap.classify")
@@ -70,7 +71,7 @@ def map_cases():
 
 
 def isometry_block(mapped, sector, realized):
-    V = mapped.sector_isometry(sector)
+    V = sector_isometry(mapped, sector)
     return (V.getH() @ realized @ V).toarray()
 
 
