@@ -32,8 +32,9 @@ class PathPiece:
     """H(u) = sum_j coefficients(u)[j] parts[j], stored on one canonical CSR pattern, for u below end.
 
     parts is the (parts x nnz) stack of values on pattern (whose own data
-    is not read); coefficients maps an array of u to a (len(u) x parts)
-    array.
+    is not read), each part held Hermitian at its own scale when the piece
+    is built; coefficients maps an array of u to a real (len(u) x parts)
+    array. So every sample, a real combination of the parts, is Hermitian.
     """
 
     end: float
@@ -42,12 +43,20 @@ class PathPiece:
     coefficients: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if np.ndim(self.parts) != 2 or np.shape(self.parts)[1] != self.pattern.nnz:
+        if np.ndim(self.parts) != 2 or not len(self.parts) or np.shape(self.parts)[1] != self.pattern.nnz:
             raise ContractError(f"parts of shape {np.shape(self.parts)} do not fit {self.pattern.nnz} stored entries")
+        # part j over its scale max(1, max|part|) is diagonal block j of one CSR: one pauli._is_hermitian call
+        (count, nnz), (rows, cols), j = self.parts.shape, self.pattern.shape, np.arange(len(self.parts))[:, None]
+        scaled = self.parts / np.maximum(1.0, np.abs(self.parts).max(axis=1, initial=0.0))[:, None]
+        indices, indptr = (self.pattern.indices + cols * j).ravel(), np.append(0, self.pattern.indptr[1:] + nnz * j)
+        if not _is_hermitian(sp.csr_matrix((scaled.ravel(), indices, indptr), shape=(count * rows, count * cols))):
+            raise ContractError("matrix is not Hermitian")
 
     def data(self, u, entries=slice(None)) -> np.ndarray:
         """The stored values of H(u) for every u at once, (len(u) x entries): the parts summed left to right."""
         c = self.coefficients(np.asarray(u, dtype=float))
+        if np.iscomplexobj(c):
+            raise ContractError("path coefficients must be real")
         data = c[:, :1] * self.parts[0, entries]
         for j in range(1, len(self.parts)):
             data += c[:, j:j + 1] * self.parts[j, entries]
@@ -171,9 +180,9 @@ class AdiabaticTrace:
     steps: int
 
 
-def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> tuple[list, list]:
-    """The invariant blocks of H, the connected components of its stored pattern, grouped by size:
-    the groups of components that meet reach (a boolean over the basis), and of those that miss it.
+def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list:
+    """The invariant blocks of H that meet reach (a boolean over the basis), grouped by size: the
+    connected components of H's stored pattern that hold a reachable index.
 
     Group (idx, entries, slots) stacks its b components of size m:
     idx[j] lists component j's basis indices in ascending order, and
@@ -183,25 +192,21 @@ def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> tuple[list, list]:
     """
     from scipy.sparse.csgraph import connected_components  # on first use: no other command needs its ~1 MB
 
-    dim = H.shape[0]
     graph = sp.csr_matrix((np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape)
     count, labels = connected_components(graph, directed=False)
     size = np.bincount(labels, minlength=count)[labels]
-    key = 2 * size + (np.bincount(labels, reach, count) > 0)[labels]
-    order = np.lexsort((np.arange(dim), labels, key))  # by group, then component, then index
-    where = np.empty(dim, dtype=np.intp)
-    where[order] = np.arange(dim)
+    key = np.where((np.bincount(labels, reach, count) > 0)[labels], size, 0)  # 0: a component reach misses
+    order = np.lexsort((np.arange(H.shape[0]), labels, key))  # by group, then component, then index
+    where = np.argsort(order)  # each index's position in order
     rows, cols, _ = _csr_entries(H)
-    active, idle = [], []
-    start = 0
-    for k in np.unique(key):
-        stop = start + np.count_nonzero(key == k)
-        m = size[order[start]]
-        entries = np.flatnonzero(key[rows] == k)
+    groups, start = [], np.count_nonzero(key == 0)  # the groups follow the components reach misses
+    for m in np.unique(key[key > 0]):
+        stop = start + np.count_nonzero(key == m)
+        entries = np.flatnonzero(key[rows] == m)
         r, c = where[rows[entries]] - start, where[cols[entries]] - start
-        (active if k % 2 else idle).append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
+        groups.append((order[start:stop].reshape(-1, m), entries, r * m + c % m))
         start = stop
-    return active, idle
+    return groups
 
 
 def _block_stacks(piece: PathPiece, points: np.ndarray, groups, dense_cap: int):
@@ -229,29 +234,24 @@ def _solved_samples(path: HamiltonianPath, u: np.ndarray, dense_cap: int, reach:
     """For each u in turn (ascending), [(idx, vals, vecs) per solved block size] of the sample H(u).
 
     With dt, vals are replaced by the phases exp(-i vals dt), computed per
-    batch. Each piece's blocks are found once, and only its active blocks
-    are solved: those meeting reach, the boolean support of the state,
-    which each piece then extends by its active blocks (an all-true reach
-    solves every block). An idle block holds an exactly zero state, which
-    propagates to zero, so it is never solved, but every sample of it
-    must still pass pauli._is_hermitian. Each batch (see _block_stacks)
-    is solved with one stacked _eigh per active block size.
+    batch. Each piece's blocks are found once, and only those meeting
+    reach, the boolean support of the state, are formed and solved, one
+    stacked _eigh per block size and batch (see _block_stacks); each piece
+    then extends reach by them (an all-true reach solves every block).
+    Another block holds a zero state, which stays zero, and is Hermitian
+    since PathPiece checks its parts, so it is never formed.
     """
     at = path.piece_at(u)
     for j, piece in enumerate(path.pieces):
         points = u[at == j]
         if not points.size:
             continue
-        active, idle = _pattern_blocks(piece.pattern, reach)
-        for group in idle:  # one group at a time, so the idle stacks are never all held at once
-            for (stack,) in _block_stacks(piece, points, [group], dense_cap):
-                if not _is_hermitian(stack):
-                    raise ContractError("matrix is not Hermitian")
-        for idx, _, _ in active:
+        groups = _pattern_blocks(piece.pattern, reach)
+        for idx, _, _ in groups:
             reach[idx] = True
-        for stacks in _block_stacks(piece, points, active, dense_cap):
+        for stacks in _block_stacks(piece, points, groups, dense_cap):
             solved = []
-            for (idx, _, _), stack in zip(active, stacks):
+            for (idx, _, _), stack in zip(groups, stacks):
                 vals, vecs = _eigh(stack, dense_cap)
                 solved.append((idx, vals if dt is None else np.exp(-1j * vals * dt), vecs))
             for k in range(len(stacks[0])):
@@ -275,13 +275,12 @@ def evolve(
     Each step propagates the midpoint sample block by block (see
     _pattern_blocks). The samples do not depend on the state, so they are
     solved ahead of the steps that apply them, per piece in stacked
-    batches (see _solved_samples). The blocks are found once per piece,
-    and only those the state can reach from the support of `initial` are
-    solved: the others hold zero and are only checked Hermitian. The
-    ground space at each record point is read off every block of that
-    sample, solved the same way. dense_cap bounds each block, checked
-    before its stack is built; the register itself is bounded only by
-    MAX_QUBITS.
+    batches (see _solved_samples). Only the blocks the state can reach
+    from the support of `initial` are formed and solved: the others hold
+    zero, and PathPiece has checked every part Hermitian. The ground space
+    at each record point is read off every block of that sample, solved
+    the same way. dense_cap bounds each block that is formed, before its
+    stack is built; the register is bounded only by MAX_QUBITS.
     """
     if steps < 1:
         raise ContractError("need at least one step")

@@ -68,8 +68,10 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
     return Spectrum(vals, vecs, res, method)
 
 
-def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0) -> Spectrum:
-    """k extremal ("lowest" or "highest") eigenpairs of a Hermitian matrix, seeded and iterative."""
+def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0,
+                 dense_cap: int = DENSE_CAP) -> Spectrum:
+    """k extremal ("lowest" or "highest") eigenpairs of a Hermitian matrix, seeded and iterative (dense,
+    under dense_cap, when k >= dim - 1)."""
     A = _as_csr(M)
     dim = A.shape[0]
     if k < 1:
@@ -77,7 +79,7 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
     if which not in ("lowest", "highest"):
         raise ContractError(f"unknown mode {which!r}; expected 'highest' or 'lowest'")
     if k >= dim - 1:  # the dense gate tests Hermiticity itself
-        vals, vecs = _eigh(A, DENSE_CAP)
+        vals, vecs = _eigh(A, dense_cap)
         idx = np.arange(min(k, dim)) if which == "lowest" else np.arange(max(dim - k, 0), dim)
         vals, vecs = vals[idx], vecs[:, idx]
         return Spectrum(vals, vecs, _residuals(A, vals, vecs), "dense")
@@ -119,10 +121,9 @@ def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int
         flags, spec = _flags_and_spectrum(A, tol, dense_cap)
         edge, top_vecs, method = spec.eigenvalues, spec.eigenvectors, spec.method
     else:
-        lo = eig_extremal(A, k=2, which="lowest", tol=tol, seed=seed)
-        hi = eig_extremal(A, k=2, which="highest", tol=tol, seed=seed)
+        lo, hi = (eig_extremal(A, 2, which, tol, seed, dense_cap) for which in ("lowest", "highest"))
         flags = _classify(A, tol, dense_cap, float(lo.eigenvalues[0]))
-        edge = np.concatenate([lo.eigenvalues, hi.eigenvalues[max(4 - dim, 0):]])  # dim <= 3: the pairs overlap
+        edge = np.concatenate([lo.eigenvalues, hi.eigenvalues])  # disjoint: eig_extremal refused dim <= 3
         top_vecs, method = hi.eigenvectors, "iterative"
     vals = np.real_if_close(edge, tol=1000)
     vals_r = np.asarray(vals.real if np.iscomplexobj(vals) else vals, dtype=float)

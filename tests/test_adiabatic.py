@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from stoqmap import (
     DENSE_CAP,
@@ -92,10 +93,8 @@ def plus(piece, M, end=None):
 
 
 def pattern_blocks(H):
-    """The blocks of H's pattern grouped by size alone: with no basis index reachable, every group is idle."""
-    active, idle = adiabatic._pattern_blocks(H, np.zeros(H.shape[0], dtype=bool))
-    assert not active
-    return idle
+    """Every block of H's pattern, grouped by size: with every basis index reachable, no block is left out."""
+    return adiabatic._pattern_blocks(H, np.ones(H.shape[0], dtype=bool))
 
 
 def projector(path):
@@ -150,7 +149,7 @@ def test_evolve_checks_every_sample_before_diagonalizing(monkeypatch):
     circuit = QuantumCircuit(1, (rot(0, 0.4), rot(0, 0.2)))
     path, initial = ff_schedule_path(circuit), ff_initial(circuit)
     shapes = counting_stacked_solves(monkeypatch)
-    for cap in (2, 5):  # below the idle 4-state block, then below only the reachable 6-state block
+    for cap in (2, 5):  # below the idle 4-state and the reachable 6-state block, then below only the latter
         for target in (None, "ground"):
             with pytest.raises(ResourceError, match=f"exceeds the dense cap {cap}"):
                 evolve(path, 1.0, 4, initial, target=target, dense_cap=cap)
@@ -161,9 +160,11 @@ def test_evolve_checks_every_sample_before_diagonalizing(monkeypatch):
     # every block of one ground sample holds 36 + 16 + 6 = 58 entries, more than 6**2: one sample per batch
     ground = evolve(path, 1.0, 4, initial, target="ground", dense_cap=6)
     assert np.array_equal(ground.overlaps, evolve(path, 1.0, 4, initial, target="ground").overlaps)
-    skew = affine_path([np.array([[0.0, 1.0], [0.0, 0.0]])], ones)
-    with pytest.raises(ContractError, match="Hermitian"):
+    solved = len(shapes)
+    with pytest.raises(ContractError, match="Hermitian"):  # a skew part is refused as its piece is built
+        skew = affine_path([np.array([[0.0, 1.0], [0.0, 0.0]])], ones)
         evolve(skew, 1.0, 1, np.array([1.0, 0.0]), target=None)
+    assert len(shapes) == solved
 
 
 def full_register_evolve(path, T, steps, initial, target):
@@ -362,8 +363,8 @@ def test_batches_under_a_small_dense_cap_still_match_the_oracle(monkeypatch):
     assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
 
 
-def test_sample_skewed_only_at_the_last_midpoint_is_refused():
-    """The skewed sample shares its batch and pattern with Hermitian ones; its block is still refused."""
+def test_sample_skewed_only_at_the_last_midpoint_is_refused(monkeypatch):
+    """Only the last midpoint's sample is skewed, but its skew part is refused as the piece is built."""
     steps = 16
     path = ff_schedule_path(ROT_CNOT_ROT)
     (ff,) = path.pieces
@@ -374,9 +375,12 @@ def test_sample_skewed_only_at_the_last_midpoint_is_refused():
     def coefficients(u):  # the skew part's coefficient is nonzero only at the last midpoint
         return np.column_stack([ff.coefficients(u), u == (steps - 0.5) / steps])
 
-    skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]), coefficients),), path.sector)
+    shapes = counting_stacked_solves(monkeypatch)
     with pytest.raises(ContractError, match="not Hermitian"):
+        skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]), coefficients),),
+                                 path.sector)
         evolve(skewed, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
+    assert shapes == []
     evolve(path, 4.0, steps, ff_initial(ROT_CNOT_ROT), target=None)
 
 
@@ -387,7 +391,7 @@ def ff_block_of_size(circuit, m):
 
 
 def test_skew_inside_an_idle_block_is_refused(monkeypatch):
-    """A block the state never reaches is not solved, but each of its samples is still held Hermitian."""
+    """A block the state never reaches is never formed, but a skew part inside it is refused with its piece."""
     path = ff_schedule_path(ROT_CNOT_ROT)
     (ff,) = path.pieces
     block = ff_block_of_size(ROT_CNOT_ROT, 6)
@@ -395,10 +399,10 @@ def test_skew_inside_an_idle_block_is_refused(monkeypatch):
     rows, cols, _ = _csr_entries(ff.pattern)
     skew = np.zeros(ff.pattern.nnz)
     skew[np.flatnonzero(np.isin(rows, block) & (rows != cols))[0]] = 0.5  # one side of one coupling in the block
-    skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]),
-                                        lambda u: np.column_stack([ff.coefficients(u), ones(u)])),), path.sector)
     shapes = counting_stacked_solves(monkeypatch)
     with pytest.raises(ContractError, match="not Hermitian"):
+        skewed = HamiltonianPath((PathPiece(1.0, ff.pattern, np.vstack([ff.parts, skew]),
+                                            lambda u: np.column_stack([ff.coefficients(u), ones(u)])),), path.sector)
         evolve(skewed, 4.0, 16, ff_initial(ROT_CNOT_ROT), target=None)
     assert shapes == []  # refused before the reachable block is solved
     evolve(path, 4.0, 16, ff_initial(ROT_CNOT_ROT), target=None)
@@ -464,6 +468,60 @@ def test_stack_blocks_are_held_to_their_own_scale():
     assert classify_module._is_hermitian(np.stack([big, np.eye(2)]))
     with pytest.raises(ContractError, match="not Hermitian"):
         classify_module._eigh(stack, 2)
+
+
+def test_path_parts_are_held_to_their_own_scale():
+    """A skew of 1e-9 in a part of scale 1 is refused, although the sum with a part of scale 100 passes."""
+    big = 100.0 * np.eye(2)
+    skewed = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    assert classify_module._is_hermitian(big + skewed)  # against the sample's scale the skew would pass
+    with pytest.raises(ContractError, match="not Hermitian"):
+        affine_path([big, skewed], lambda u: np.column_stack([np.ones(u.size), u]))
+    affine_path([big, skewed + skewed.T], lambda u: np.column_stack([np.ones(u.size), u]))
+
+
+def test_complex_coefficients_are_refused_before_any_solve(monkeypatch):
+    """Hermitian parts with complex coefficients make a non-Hermitian sample: exp(iu) (X + Z)."""
+    path = affine_path([np.array([[1.0, 1.0], [1.0, -1.0]])], lambda u: np.exp(1j * u)[:, None])
+    shapes = counting_stacked_solves(monkeypatch)
+    for target in (None, "ground", np.array([1.0, 0.0])):
+        with pytest.raises(ContractError, match="coefficients must be real"):
+            evolve(path, 1.0, 4, np.array([1.0, 0.0]), target=target)
+    assert shapes == []
+
+
+def test_idle_block_above_the_cap_is_never_formed(monkeypatch):
+    """A reachable 2-state block next to an idle 4-state chain: dense_cap 3 bounds only the block that is
+    solved, so a vector run goes through unchanged, while a ground run must solve the chain too."""
+    constant, moving = np.zeros((6, 6)), np.diag([1.0, -1.0, 0.5, 0.0, -0.5, 1.0])
+    constant[[0, 1], [1, 0]] = 0.7
+    constant[[2, 3, 3, 4, 4, 5], [3, 2, 4, 3, 5, 4]] = -0.4
+    path = affine_path([constant, moving], lambda u: np.column_stack([np.ones(u.size), u]))
+    initial = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert sorted(idx.shape for idx, _, _ in pattern_blocks(path.pieces[0].pattern)) == [(1, 2), (1, 4)]
+    shapes = counting_stacked_solves(monkeypatch)
+    capped = evolve(path, 4.0, 16, initial, target=initial, dense_cap=3)
+    assert shapes == [(2, 1, 2, 2)] * 8  # a batch holds 3**2 // 2**2 = 2 samples of the one solved block
+    default = evolve(path, 4.0, 16, initial, target=initial)
+    assert np.array_equal(capped.final_state, default.final_state)
+    assert np.array_equal(capped.overlaps, default.overlaps)
+    with pytest.raises(ResourceError, match="dimension 4 exceeds the dense cap 3"):
+        evolve(path, 4.0, 16, initial, target="ground", dense_cap=3)
+
+
+def test_vector_evolve_at_13_qubits_matches_expm_multiply():
+    """n = 4, L = 8: the blocked propagator against scipy's expm_multiply (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 2011) applied to each midpoint sample over the whole 8192-state register."""
+    circuit = weight_zero_circuit(8)
+    path, initial = ff_schedule_path(circuit), ff_initial(circuit)
+    assert path.dim == 8192
+    T, steps = 16.0, 16
+    trace = evolve(path, T, steps, initial, target=initial)
+    psi = initial.astype(complex)
+    for k in range(steps):
+        psi = scipy.sparse.linalg.expm_multiply(-1j * (T / steps) * sample(path, (k + 0.5) / steps), psi)
+    assert np.max(np.abs(psi[initial == 0])) > 1e-3  # the state has left its start
+    assert np.max(np.abs(trace.final_state - psi)) <= 1e-12
 
 
 def per_step_evolve(generator, P, T, steps, initial, target):

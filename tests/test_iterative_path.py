@@ -16,8 +16,10 @@ import scipy.sparse.linalg as spla
 
 from stoqmap import (
     LocalHamiltonian,
+    ResourceError,
     build_matrix,
     classify,
+    eig_extremal,
     random_instance,
     run_command,
     save_hamiltonian,
@@ -133,12 +135,16 @@ def test_spectral_report_names_the_general_solver():
     assert abs(report.top_eigenvalue - 1.0) <= 1e-12
 
 
-def test_small_register_above_the_cap_counts_each_eigenvalue_once(tmp_path):
-    # Z + 1/2 has eigenvalues -1/2 and 3/2; the lowest pair and the highest pair are the same pair
+def test_small_register_above_the_cap_is_refused(tmp_path, capsys):
+    """With k >= dim - 1, eig_extremal solves densely, so it honours the caller's cap: above the cap,
+    a register of dim <= 3 has no iterative answer, and Z + 1/2 (dim 2) exits 2 at --dense-cap 1."""
+    H = LocalHamiltonian.from_signed(1, [(1.0, {0: "Z"}), (0.5, {})])
+    with pytest.raises(ResourceError, match="dimension 2 exceeds the dense cap 1"):
+        eig_extremal(build_matrix(H), k=1, dense_cap=1)
+    assert eig_extremal(build_matrix(H), k=1).eigenvalues.tolist() == [-0.5]
     path = tmp_path / "z.json"
-    save_hamiltonian(LocalHamiltonian.from_signed(1, [(1.0, {0: "Z"}), (0.5, {})]), str(path))
-    iterative = run_report(tmp_path, ["ham", "spectrum", str(path), "--dense-cap", "1"])["spectral_report"]
-    dense = run_report(tmp_path, ["ham", "spectrum", str(path)])["spectral_report"]
-    assert iterative["method"] == "iterative"
-    assert iterative["second_largest_magnitude"] == 0.5
-    assert_reports_agree(iterative, dense)
+    save_hamiltonian(H, str(path))
+    assert run_command(["ham", "spectrum", str(path), "--dense-cap", "1", "--out", str(tmp_path / "r.json")]) == 2
+    assert "error: dimension 2 exceeds the dense cap 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    assert run_report(tmp_path, ["ham", "spectrum", str(path)])["spectral_report"]["method"] == "dense"
