@@ -180,6 +180,21 @@ class AdiabaticTrace:
     steps: int
 
 
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple[int, np.ndarray]:
+    """(count, labels) of the undirected graph on dim vertices with an edge per (rows, cols) pair, numbered
+    by smallest vertex as csgraph.connected_components numbers them. Each round hooks every edge's larger
+    root onto its smaller one and points every vertex at its root; an edge inside one component stays there."""
+    labels = np.arange(dim)
+    while rows.size:
+        apart = labels[rows] != labels[cols]
+        rows, cols = rows[apart], cols[apart]
+        np.minimum.at(labels, np.maximum(labels[rows], labels[cols]), np.minimum(labels[rows], labels[cols]))
+        while np.any(labels[labels] != labels):
+            labels = labels[labels]
+    roots = labels == np.arange(dim)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[labels]
+
+
 def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list:
     """The invariant blocks of H that meet reach (a boolean over the basis), grouped by size: the
     connected components of H's stored pattern that hold a reachable index.
@@ -190,15 +205,12 @@ def _pattern_blocks(H: sp.csr_matrix, reach: np.ndarray) -> list:
     (b, m, m) stack. The graph is read from indptr/indices only, so a
     stored entry couples its row and column whatever its value.
     """
-    from scipy.sparse.csgraph import connected_components  # on first use: no other command needs its ~1 MB
-
-    graph = sp.csr_matrix((np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape)
-    count, labels = connected_components(graph, directed=False)
+    rows, cols, _ = _csr_entries(H)
+    count, labels = _components(rows, cols, H.shape[0])
     size = np.bincount(labels, minlength=count)[labels]
     key = np.where((np.bincount(labels, reach, count) > 0)[labels], size, 0)  # 0: a component reach misses
     order = np.lexsort((np.arange(H.shape[0]), labels, key))  # by group, then component, then index
     where = np.argsort(order)  # each index's position in order
-    rows, cols, _ = _csr_entries(H)
     groups, start = [], np.count_nonzero(key == 0)  # the groups follow the components reach misses
     for m in np.unique(key[key > 0]):
         stop = start + np.count_nonzero(key == m)

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ConvergenceError, ResourceError
 from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian, _scatter_sum
@@ -86,6 +85,7 @@ def _eigsh(A: sp.csr_matrix, k: int, which: str, v0: np.ndarray, tol: float):
     tol (0: machine precision). When it gives up, the ConvergenceError
     carries the smallest residual among the pairs it returned.
     """
+    import scipy.sparse.linalg as spla  # here alone: only a solve above the dense cap pays for loading ARPACK
     try:
         vals, vecs = spla.eigsh(A, k=k, which={"lowest": "SA", "highest": "LA"}[which], v0=v0, tol=tol)
     except spla.ArpackNoConvergence as exc:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from stoqmap import (
     DENSE_CAP,
@@ -229,8 +232,8 @@ def counting_component_searches(monkeypatch):
         calls.append(1)
         return search(*args, **kwargs)
 
-    search = scipy.sparse.csgraph.connected_components
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted)
+    search = adiabatic._components
+    monkeypatch.setattr(adiabatic, "_components", counted)
     return calls
 
 
@@ -304,7 +307,7 @@ def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
     want, rows = full_register_evolve(path, T, steps, initial, target)
     calls = counting_component_searches(monkeypatch)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # e.g. csgraph casting complex values to real
+        warnings.simplefilter("error")  # e.g. complex values cast to real
         trace = evolve(path, T, steps, initial, target=target)
     assert len(calls) == searches
     assert np.max(np.abs(trace.final_state - want)) <= 1e-12
@@ -334,6 +337,72 @@ def test_adiabatic_run_searches_components_once(monkeypatch, tmp_path):
     argv = ["adiabatic", "run", str(tmp_path / "c.json"), "--T", "32", "--steps", "64", "--shots", "256"]
     assert run_command(argv + ["--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+
+
+def csgraph_components(rows, cols, dim):
+    """The oracle for adiabatic._components: scipy's connected_components on the same edges."""
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)
+
+
+def assert_components_match_csgraph(H, reach):
+    """_components labels H's pattern as csgraph does, so _pattern_blocks returns the very same groups."""
+    graph = sp.csr_matrix((np.ones(H.indices.size), H.indices, H.indptr), shape=H.shape)
+    want_count, want_labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    rows, cols, _ = _csr_entries(H)
+    count, labels = adiabatic._components(rows, cols, H.shape[0])
+    assert count == want_count and np.array_equal(labels, want_labels)
+    groups = adiabatic._pattern_blocks(H, reach)
+    with mock.patch.object(adiabatic, "_components", csgraph_components):
+        want = adiabatic._pattern_blocks(H, reach)
+    assert len(groups) == len(want)
+    for group, want_group in zip(groups, want):
+        for got, expected in zip(group, want_group):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@st.composite
+def csr_patterns(draw):
+    """A stored pattern on 1 to 40 indices: entries one-sided or not, self-loops, explicit zeros, isolated
+    indices and no entries at all, along with a one-sided chain through the indices in a random order (long
+    chains take several hooking rounds); with a reach drawn over the basis."""
+    dim = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=3 * dim))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(dim).tolist()
+    pairs += list(zip(order, order[1:draw(st.integers(0, dim))]))
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]), min_size=len(pairs), max_size=len(pairs))))
+    H = sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+    reach = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    return H, reach
+
+
+@seed(20090601)
+@settings(max_examples=300, deadline=None, database=None)
+@given(csr_patterns())
+def test_components_match_csgraph_on_drawn_patterns(case):
+    assert_components_match_csgraph(*case)
+
+
+@pytest.mark.parametrize("name", ["one index", "no entries", "self-loops", "one-sided chain", "ff0", "ff3",
+                                  "stoquastic_flips", "switched", "duplicates", "13 qubits", "14 qubits"])
+def test_components_match_csgraph_on_fixed_patterns(name):
+    if name in ("one index", "no entries", "self-loops", "one-sided chain"):
+        dim = 1 if name == "one index" else 9
+        entries = {"one index": [], "no entries": [], "self-loops": [(i, i) for i in range(0, 9, 2)],
+                   "one-sided chain": [(8, 5), (5, 7), (0, 7), (3, 3)]}[name]
+        rows, cols = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        patterns = [sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))]
+        starts = [np.eye(1, dim, dim // 2).ravel()]
+    elif name.endswith("qubits"):
+        circuit = weight_zero_circuit(int(name[:2]) - 5)
+        patterns, starts = [ff_schedule_path(circuit).pieces[0].pattern], [ff_initial(circuit)]
+    else:
+        path, initial, _, _ = oracle_case(name)
+        patterns, starts = [piece.pattern for piece in path.pieces], [initial] * len(path.pieces)
+    for pattern, start in zip(patterns, starts):
+        for reach in (start != 0, np.ones(pattern.shape[0], dtype=bool), np.zeros(pattern.shape[0], dtype=bool)):
+            assert_components_match_csgraph(pattern, reach)
 
 
 def counting_stacked_solves(monkeypatch):

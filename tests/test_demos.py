@@ -1,8 +1,9 @@
 """Every demo prints the text recorded in tests/demo_outputs/<stem>.txt.
 
 Each demo runs in its own interpreter, as a reader would run it. Demo 08
-prints the temporary directory it writes its reports to; the demos run
-with TMPDIR set to the test's own directory, and that name is replaced
+prints the temporary directory it writes its reports to and removes it
+when done; the demos run with TMPDIR set to the test's own directory,
+which must hold no such directory afterwards, and that name is replaced
 by a fixed token before the comparison.
 """
 
@@ -25,6 +26,7 @@ def demo_stdout(demo: Path, tmp_path: Path) -> str:
     run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path,
                          timeout=120)
     assert run.returncode == 0, run.stderr
+    assert not list(tmp_path.glob("stoqmap-demo-*"))  # a demo removes the directory it writes to
     return re.sub(re.escape(str(tmp_path)) + r"/stoqmap-demo-\w+", TOKEN, run.stdout)
 
 
