@@ -58,6 +58,7 @@ from .clock import (
     custom,
     ff_term_hamiltonians,
     gap_formulas,
+    gap_scan,
     history_state,
     identity_gate,
     legal_basis,

@@ -401,7 +401,7 @@ def measure_and_decode(
     cdim = 1 << (L_total + 1)
     shift = L_total - base_L
     lead_ones = (1 << (base_L + 1)) - 1
-    success_cols = np.array([c for c in range(cdim) if c >> shift == lead_ones])
+    success_cols = np.arange(lead_ones << shift, cdim)  # every pattern whose top base_L + 1 bits are ones
     probs = np.abs(final) ** 2
     probs = probs / probs.sum()
     table = probs.reshape(1 << n, cdim)

@@ -19,14 +19,8 @@ import scipy.sparse as sp
 
 from . import io as fmt
 from .adiabatic import ff_schedule_path, evolve, measure_and_decode, sector_leakage
-from .classify import _as_csr, _check_dense_cap, _classify, _eigh, _max_abs, classify
-from .clock import (
-    block_matrix,
-    build_ff,
-    clock_state_index,
-    gap_formulas,
-    history_state,
-)
+from .classify import _as_csr, _max_abs, classify
+from .clock import block_matrix, build_ff, clock_state_index, gap_formulas, gap_scan, history_state
 from .errors import ContractError, ConvergenceError, ResourceError
 from .mapping import add_ancilla_penalty, add_penalty_complex, stochastize, stochastize_complex, stoquastize
 from .pauli import DENSE_CAP, MAX_QUBITS, build_matrix
@@ -162,23 +156,6 @@ def _sector_residual(block, H, scale: float) -> float:
     return _max_abs(sp.csr_matrix(block) - build_matrix(H).multiply(scale))
 
 
-def _map_flags_and_spectrum(mapped, realized, tol: float, dense_cap: int):
-    """(flags, eigenvalues or None, sector blocks or None) of a realized map.
-
-    Under the dense cap, when the commutation residual proves the ancilla
-    sectors invariant, the sorted union of the blocks' spectra is the
-    spectrum: one stacked solve of 2^n-dimensional blocks replaces the
-    2^(n+a)-dimensional one. Otherwise the whole register is solved.
-    """
-    if realized.shape[0] <= dense_cap:
-        blocks, residual = mapped.sector_blocks(realized)
-        if residual <= tol:
-            vals = np.sort(_eigh(blocks, dense_cap, vectors=False), axis=None)
-            return _classify(realized, tol, dense_cap, float(vals[0])), vals, blocks
-    flags, spec = _flags_and_spectrum(realized, tol, dense_cap, compute_vectors=False)
-    return flags, None if spec is None else spec.eigenvalues, None
-
-
 def _cmd_map(args, argv) -> int:
     H = fmt.load_hamiltonian(args.hamiltonian)
     p = getattr(args, "p", None)
@@ -196,7 +173,8 @@ def _cmd_map(args, argv) -> int:
             mapped = add_penalty_complex(mapped, p)
         sector = "v1"
     realized = _as_csr(mapped.realize())  # already canonical: only checked
-    flags, vals, blocks = _map_flags_and_spectrum(mapped, realized, args.tol, args.dense_cap)
+    flags, spec, blocks = _flags_and_spectrum(realized, args.tol, args.dense_cap, compute_vectors=False,
+                                              sectors=mapped)
     flags = flags.as_dict()
     checks = [_check("hermitian", flags["hermitian"])]
     if args.action == "stoquastic":
@@ -221,8 +199,8 @@ def _cmd_map(args, argv) -> int:
         "warnings": list(mapped.warnings),
         "flags": flags,
     }
-    if vals is not None:
-        results["eigenvalues"] = np.real(vals).tolist()
+    if spec is not None:
+        results["eigenvalues"] = np.real(spec.eigenvalues).tolist()
     _emit(args, results, checks, argv)
     return 0 if all(c["passed"] for c in checks) else 1
 
@@ -265,29 +243,7 @@ def _cmd_clock_build(args, argv) -> int:
 
 
 def _cmd_clock_scan(args, argv) -> int:
-    if args.Lmin < 1 or args.Lmax < args.Lmin:
-        raise ContractError("need 1 <= Lmin <= Lmax")
-    if args.s_samples < 1:
-        raise ContractError("need at least one s sample")
-    _check_dense_cap(args.Lmax + 1, DENSE_CAP)  # before any block is built
-    samples = [0.5 * i / args.s_samples for i in range(1, args.s_samples + 1)]
-    rows = []
-    for L in range(args.Lmin, args.Lmax + 1):
-        # one stacked solve per L: the weight-0 and weight-1 blocks at every s
-        stack = np.stack([block_matrix(weight, s, L).entries for s in samples for weight in (0, 1)])
-        vals = _eigh(stack, DENSE_CAP, vectors=False).reshape(len(samples), 2, L + 1)
-        for s, (block, full) in zip(samples, vals):
-            block_formula, full_formula = gap_formulas(s, L)
-            rows.append(
-                {
-                    "L": L,
-                    "s": repr(s),
-                    "block_gap_formula": repr(block_formula),
-                    "block_gap_measured": repr(float(block[1])),
-                    "full_gap_formula": repr(full_formula),
-                    "full_gap_measured": repr(float(full[0])),
-                }
-            )
+    rows = [dict(zip(fmt.GAP_SCAN_COLUMNS, map(repr, row))) for row in gap_scan(args.Lmin, args.Lmax, args.s_samples)]
     fmt.write_text(fmt.gap_scan_csv(rows), args.out)
     return 0
 

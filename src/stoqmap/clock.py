@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _eigh
+from .classify import _check_dense_cap, _eigh
 from .errors import ContractError, ResourceError
 from .pauli import (
     DENSE_CAP, MAX_QUBITS, LocalHamiltonian, _embed_entries, _sum_terms, embed, pauli_decompose, remap_qubits,
@@ -323,6 +323,31 @@ def gap_formulas(s: float, L: int) -> tuple[float, float]:
     block_gap = 1.0 - b2 * np.cos(np.pi / (L + 1))
     full_gap = 1.0 - b2 * np.cos(np.pi / (2 * (L + 1)))
     return float(block_gap), float(full_gap)
+
+
+def gap_scan(Lmin: int, Lmax: int, s_samples: int) -> list[tuple[int, float, float, float, float, float]]:
+    """(L, s, block gap formula and measured, full gap formula and measured) per L in [Lmin, Lmax] and
+    s = 1/(2 s_samples), 2/(2 s_samples), ..., 1/2.
+
+    The measured values are the weight-0 block's gap and the weight-1
+    block's ground energy (see gap_formulas), from one stacked solve per
+    L of both blocks at every s. The largest block is checked against
+    the dense cap before any block is built.
+    """
+    if Lmin < 1 or Lmax < Lmin:
+        raise ContractError("need 1 <= Lmin <= Lmax")
+    if s_samples < 1:
+        raise ContractError("need at least one s sample")
+    _check_dense_cap(Lmax + 1, DENSE_CAP)
+    samples = [0.5 * i / s_samples for i in range(1, s_samples + 1)]
+    rows = []
+    for L in range(Lmin, Lmax + 1):
+        stack = np.stack([block_matrix(weight, s, L).entries for s in samples for weight in (0, 1)])
+        vals = _eigh(stack, DENSE_CAP, vectors=False).reshape(len(samples), 2, L + 1)
+        for s, (block, full) in zip(samples, vals):
+            block_formula, full_formula = gap_formulas(s, L)
+            rows.append((L, s, block_formula, float(block[1]), full_formula, float(full[0])))
+    return rows
 
 
 def legal_basis(ff: FFHamiltonian) -> np.ndarray:

@@ -22,8 +22,8 @@ from .pauli import (
 )
 from .spectra import eig_dense
 
-# F|l> = |l-1 mod 4>, so F has eigenvalue i^j on v_j; _cycle_rows places F^k by index arithmetic.
-_F = sp.csr_matrix((np.ones(4), ((np.arange(4) - 1) % 4, np.arange(4))), shape=(4, 4))
+# _cycle_rows places powers of the ancilla 4-cycle F|l> = |l-1 mod 4>, which has eigenvalue i^j on v_j,
+# by index arithmetic: F is never built as a matrix.
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)

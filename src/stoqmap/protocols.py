@@ -174,8 +174,8 @@ class ExcitedEnergyProblem:
             raise ContractError(f"c={self.c} exceeds the spectrum size {vals.size}")
         return float(vals[self.c - 1])
 
-    def decide(self) -> str:
-        return _verdict(self.lambda_c(), self.a, self.b)
+    def decide(self, dense_cap: int = DENSE_CAP) -> str:
+        return _verdict(self.lambda_c(dense_cap), self.a, self.b)
 
 
 def build_Hc(c: int, n: int) -> LocalHamiltonian:

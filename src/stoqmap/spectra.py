@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import MatrixClassFlags, _as_csr, _classify, _eigh, _eigsh, _residuals
-from .errors import ContractError, ResourceError
+from .classify import MatrixClassFlags, _as_csr, _check_dense_cap, _classify, _eigh, _eigsh, _residuals
+from .errors import ContractError
 from .pauli import DENSE_CAP, _is_hermitian
 
 # Eigenvalues closer than this are reported as one multiplet.
@@ -44,11 +44,7 @@ class SpectralReport:
 def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Spectrum:
     """Full spectrum by dense diagonalization (dim capped); method "dense_general" if M is not Hermitian."""
     A = _as_csr(M)
-    dim = A.shape[0]
-    if dim > dense_cap:
-        raise ResourceError(
-            f"dimension {dim} exceeds the dense cap {dense_cap}; use eig_extremal"
-        )
+    _check_dense_cap(A.shape[0], dense_cap)  # before anything dense is allocated
     dense = A.toarray()
     try:
         out = _eigh(dense, dense_cap, vectors=compute_vectors)
@@ -89,22 +85,33 @@ def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed:
     return Spectrum(vals, vecs, _residuals(A, vals, vecs), "iterative")
 
 
-def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int,
-                        compute_vectors: bool = True) -> tuple[MatrixClassFlags, Spectrum | None]:
+def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int, compute_vectors: bool = True,
+                        sectors=None) -> tuple[MatrixClassFlags, Spectrum | None, np.ndarray | None]:
     """classify(A) of a canonical CSR A and, under the dense cap, its full spectrum from one eigensolve.
 
-    compute_vectors keeps vectors only where the Perron overlap reads them: symmetric column-stochastic A.
+    Given sectors, the MappedHamiltonian that A realizes, a commutation
+    residual within tol proves its ancilla sectors invariant; then the
+    sorted union of the sector blocks' spectra is the spectrum, one
+    stacked solve of 2^n-dimensional blocks replaces the 2^(n+a)-dimensional
+    one, and the blocks come back as the third item (otherwise None).
+    compute_vectors keeps vectors only where the Perron overlap reads them:
+    symmetric column-stochastic A, solved as a whole register.
     """
     if A.shape[0] > dense_cap or A.shape[0] != A.shape[1]:
-        return _classify(A, tol, dense_cap), None
+        return _classify(A, tol, dense_cap), None, None
+    if sectors is not None:
+        blocks, residual = sectors.sector_blocks(A)
+        if residual <= tol:
+            vals = np.sort(_eigh(blocks, dense_cap, vectors=False), axis=None)
+            return _classify(A, tol, dense_cap, float(vals[0])), Spectrum(vals, None, None, "dense"), blocks
     flags = _classify(A, tol, dense_cap, 0.0)  # psd = hermitian until the lowest eigenvalue is known
     vectors = compute_vectors and flags.symmetric and flags.column_stochastic
     if not flags.hermitian:
-        return flags, eig_dense(A, dense_cap=dense_cap, compute_vectors=vectors)
+        return flags, eig_dense(A, dense_cap=dense_cap, compute_vectors=vectors), None
     # Hermitian within tol, so the solve is held to tol too and gives the lowest eigenvalue
     out = _eigh(A, dense_cap, vectors=vectors, tol=tol)
     vals, vecs = out if vectors else (out, None)
-    return replace(flags, psd=float(vals[0]) >= -tol), Spectrum(vals, vecs, None, "dense")
+    return replace(flags, psd=float(vals[0]) >= -tol), Spectrum(vals, vecs, None, "dense"), None
 
 
 def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
@@ -118,7 +125,7 @@ def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int
     A = _as_csr(M)
     dim = A.shape[0]
     if dim <= dense_cap:
-        flags, spec = _flags_and_spectrum(A, tol, dense_cap)
+        flags, spec, _ = _flags_and_spectrum(A, tol, dense_cap)
         edge, top_vecs, method = spec.eigenvalues, spec.eigenvectors, spec.method
     else:
         lo, hi = (eig_extremal(A, 2, which, tol, seed, dense_cap) for which in ("lowest", "highest"))

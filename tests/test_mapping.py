@@ -172,9 +172,7 @@ def test_penalty_requires_stochastic_input():
 # -------------------------------------------------------------- Z4 phase map
 
 def test_z4_cycle_eigenvectors():
-    from stoqmap.mapping import _F
-
-    F = _F.toarray()
+    F = np.eye(4)[:, (np.arange(4) - 1) % 4]  # F|l> = |l-1 mod 4>
     assert np.allclose(np.linalg.matrix_power(F, 4), np.eye(4))
     for j in range(4):
         v = sector_vector_z4(j)

@@ -107,6 +107,20 @@ def test_pauli_and_mapping_use_no_kron_or_product_loops():
     assert not found, found
 
 
+def test_cli_names_no_eigensolver_or_classifier():
+    """Each command's spectrum is read in the library (spectra or clock), never in the CLI."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    assert not named & {"_eigh", "_eigsh", "_classify"}
+
+
 def test_no_coo_matrix_named_in_src():
     found = [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)

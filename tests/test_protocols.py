@@ -252,6 +252,13 @@ def test_dense_solves_refuse_inputs_above_the_cap():
         decide_sat(SatInstance.from_paulis([H], epsilon=1.0), dense_cap=8)
 
 
+def test_excited_energy_decision_honours_the_dense_cap():
+    problem = ExcitedEnergyProblem(H=build_Hc(2, 4), c=2, a=-0.4, b=0.1)  # 16-dimensional
+    with pytest.raises(ResourceError, match="dimension 16 exceeds the dense cap 8"):
+        problem.decide(dense_cap=8)
+    assert problem.decide(dense_cap=16) == problem.decide()
+
+
 # ------------------------------------------------- excited-energy decisions
 
 def test_excited_energy_problem_decides():

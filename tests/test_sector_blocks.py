@@ -37,10 +37,11 @@ from stoqmap import (
 )
 from stoqmap.mapping import MappedHamiltonian
 from stoqmap.pauli import _csr_entries
+from stoqmap.spectra import _flags_and_spectrum
 from oracles import sector_isometry
 
-cli = importlib.import_module("stoqmap.cli")
 classify_module = importlib.import_module("stoqmap.classify")
+spectra_module = importlib.import_module("stoqmap.spectra")
 
 TOL = 1e-10
 MAPS = {
@@ -90,10 +91,10 @@ def test_blocked_spectrum_matches_the_whole_register(case):
     blocks, residual = mapped.sector_blocks(realized)
     assert blocks.shape == (1 << mapped.ancilla_count, 1 << H.n, 1 << H.n)
     assert residual <= 1e-12
-    flags, vals, used = cli._map_flags_and_spectrum(mapped, realized, TOL, 1 << 14)
+    flags, spec, used = _flags_and_spectrum(realized, TOL, 1 << 14, compute_vectors=False, sectors=mapped)
     assert used is not None and np.array_equal(used, blocks)
     want = eig_dense(realized, compute_vectors=False).eigenvalues
-    assert_same_spectrum(vals, want)
+    assert_same_spectrum(spec.eigenvalues, want)
     assert flags == classify(realized, tol=TOL)
 
 
@@ -132,9 +133,9 @@ def test_off_sector_entry_takes_the_whole_register_solve(case):
     perturbed = off_sector(mapped.realize(), 1 << mapped.ancilla_count)
     _, residual = mapped.sector_blocks(perturbed)
     assert residual > TOL
-    flags, vals, used = cli._map_flags_and_spectrum(mapped, perturbed, TOL, 1 << 14)
+    flags, spec, used = _flags_and_spectrum(perturbed, TOL, 1 << 14, compute_vectors=False, sectors=mapped)
     assert used is None
-    assert_same_spectrum(np.asarray(vals), eig_dense(perturbed, compute_vectors=False).eigenvalues)
+    assert_same_spectrum(np.asarray(spec.eigenvalues), eig_dense(perturbed, compute_vectors=False).eigenvalues)
     assert flags == classify(perturbed, tol=TOL)
 
 
@@ -144,15 +145,15 @@ def test_map_command_falls_back_on_an_off_sector_entry(tmp_path, monkeypatch):
     save_hamiltonian(H, str(path))
     realize = MappedHamiltonian.realize
     monkeypatch.setattr(MappedHamiltonian, "realize", lambda self: off_sector(realize(self), 2))
-    whole, solve = [], cli._flags_and_spectrum
+    shapes, solve = [], spectra_module._eigh
 
-    def spy(*args, **kwargs):
-        whole.append(args)
-        return solve(*args, **kwargs)
+    def spy(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return solve(M, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_flags_and_spectrum", spy)
+    monkeypatch.setattr(spectra_module, "_eigh", spy)
     assert run_command(["map", "stoquastic", str(path), "--out", str(out)]) == 1
-    assert len(whole) == 1
+    assert shapes == [(16, 16)]  # the whole register, not the stack of two 8 x 8 sector blocks
     report = json.loads(out.read_text(encoding="utf-8"))
     want = np.linalg.eigvalsh(off_sector(realize(stoquastize(H)), 2).toarray())
     assert_same_spectrum(np.array(report["results"]["eigenvalues"]), want)

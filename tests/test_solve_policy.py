@@ -44,7 +44,7 @@ TOL = 1e-10
 # Entries a decade or more away from tol, so rounding cannot move a flag; -TOL is the exact boundary.
 DIAGONAL = [-TOL, -10 * TOL, -0.5, 0.0, 10 * TOL, 0.25, 1.5]
 # Every module that imports the dense solve gate by name.
-SOLVER_USERS = ("classify", "spectra", "cli", "clock", "protocols", "adiabatic")
+SOLVER_USERS = ("classify", "spectra", "clock", "protocols", "adiabatic")
 
 
 def stored(draw, D):

@@ -60,7 +60,7 @@ def test_eig_dense_reports_its_branch_and_hermiticity_is_tested_once(monkeypatch
 
     for module in modules:
         monkeypatch.setattr(module, "_is_hermitian", counted)
-    flags, spec = _flags_and_spectrum(build_matrix(random_instance(3, seed=2)), 1e-10, DENSE_CAP)
+    flags, spec, _ = _flags_and_spectrum(build_matrix(random_instance(3, seed=2)), 1e-10, DENSE_CAP)
     assert flags.hermitian and spec.method == "dense"
     assert len(calls) == 1
     calls.clear()
