@@ -52,23 +52,31 @@ def _check_version(data: dict, where: str):
 
 
 class _DenseMatrix(list):
-    """Rows of [re, im] float pairs: a plain list to readers, rendered in bulk by report_to_json."""
+    """Rows of [re, im] float pairs: a plain list to readers, rendered by report_to_json from pairs, the
+    (rows, cols, 2) array the rows were listed from. Write-once: only matrix_to_json makes one and nothing
+    edits one in place, so the rows and pairs agree."""
 
 
 def matrix_to_json(M) -> list:
     dense = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
-    return _DenseMatrix(np.stack((dense.real, dense.imag), axis=-1).tolist())
+    pairs = np.stack((dense.real, dense.imag), axis=-1)
+    matrix = _DenseMatrix(pairs.tolist())
+    matrix.pairs = pairs
+    return matrix
 
 
 def json_to_matrix(rows, where: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
              where, "matrix must be a nonempty list of nonempty rows")
     _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
-    try:
-        pairs = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a non-numeric or huge entry, uneven pairs
-        pairs = np.empty(0)
-    _require(pairs.ndim == 3 and pairs.shape[2] == 2, where, "complex values are [re, im] pairs of numbers")
+    try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
+        cells = [*chain.from_iterable(rows)]
+        entries = [*chain.from_iterable(cells)]
+        numbers = {*map(len, cells)} == {2} and {int, float, type(None)}.issuperset(map(type, entries))
+        pairs = np.array(entries, dtype=float).reshape(len(rows), -1, 2) if numbers else None
+    except (TypeError, OverflowError):  # an entry that is no list, an integer too large for a float
+        pairs = None
+    _require(pairs is not None, where, "complex values are [re, im] pairs of numbers")
     _require(bool(np.all(np.isfinite(pairs))), where, "matrix has non-finite or null entries")
     return pairs.view(complex)[..., 0] if pairs[..., 1].any() else pairs[..., 0]
 
@@ -298,11 +306,11 @@ def make_report(command: list[str], seed: int, tol: float, results: dict, checks
 def report_to_json(report) -> str:
     """The one JSON writer: json.dumps(report, indent=2, sort_keys=True) + "\\n" for reports and files.
 
-    Each dense matrix is rendered from its rows at the indentation json would give it and spliced into
+    Each dense matrix is rendered from its array at the indentation json would give it and spliced into
     json.dumps of the rest, in place of a tag that no string in the report contains."""
     tag = "@matrix"
     while True:
-        matrices: list[_DenseMatrix] = []
+        matrices: list[np.ndarray] = []
         text = json.dumps(_with_tags(report, tag, matrices), indent=2, sort_keys=True)
         if text.count(tag) == len(matrices):
             break
@@ -318,9 +326,9 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _with_tags(obj, tag: str, matrices: list):
-    """obj with each _DenseMatrix replaced by tag + its index in matrices; lists of scalars are not copied."""
+    """obj with each _DenseMatrix replaced by tag + the index of its pairs in matrices; scalar lists are not copied."""
     if isinstance(obj, _DenseMatrix):
-        matrices.append(obj)
+        matrices.append(obj.pairs)
         return f"{tag}{len(matrices) - 1}"
     if isinstance(obj, dict):
         return {k: _with_tags(v, tag, matrices) for k, v in obj.items()}
@@ -329,18 +337,16 @@ def _with_tags(obj, tag: str, matrices: list):
     return obj
 
 
-def _render_matrix(rows: _DenseMatrix, indent: int) -> str:
-    """json.dumps(rows, indent=2) for a value whose line is indented by indent spaces."""
+def _render_matrix(pairs: np.ndarray, indent: int) -> str:
+    """json.dumps(pairs.tolist(), indent=2) for a value whose line is indented by indent spaces."""
     i0, i1, i2, i3 = (" " * (indent + step) for step in (0, 2, 4, 6))
-    row_seps = [f",\n{i3}", f"\n{i2}],\n{i2}[\n{i3}"] * len(rows[0])  # after each re, after each im
-    row_seps[-1] = f"\n{i2}]\n{i1}],\n{i1}[\n{i2}[\n{i3}"
-    seps = row_seps * len(rows)
-    seps[-1] = f"\n{i2}]\n{i1}]\n{i0}]"
-    floats = map(float.__repr__, chain.from_iterable(chain.from_iterable(rows)))
-    body = "".join(chain.from_iterable(zip(floats, seps)))
+    zero = ((pairs == 0) & ~np.signbit(pairs)).all(axis=-1)  # pairs of +0.0; -0.0 goes through repr
+    texts = np.full(zero.shape, f"[\n{i3}0.0,\n{i3}0.0\n{i2}]", dtype=object)
+    texts[~zero] = [f"[\n{i3}{re!r},\n{i3}{im!r}\n{i2}]" for re, im in pairs[~zero].tolist()]
+    body = f"\n{i1}],\n{i1}[\n{i2}".join(f",\n{i2}".join(row) for row in texts.tolist())
     if "n" in body:  # json writes nan, inf and -inf as NaN, Infinity, -Infinity; no finite repr has an n
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{i1}[\n{i2}[\n{i3}" + body
+    return f"[\n{i1}[\n{i2}{body}\n{i1}]\n{i0}]"
 
 
 def write_report(report: dict, path: str | None) -> None:

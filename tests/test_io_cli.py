@@ -25,12 +25,14 @@ from stoqmap import (
     SatInstance,
     add_ancilla_penalty,
     build_Hc,
+    build_ff,
     build_matrix,
     circuit_from_data,
     circuit_to_data,
     cnot,
     custom,
     eig_dense,
+    ff_term_hamiltonians,
     gap_scan_csv,
     hamiltonian_from_data,
     hamiltonian_to_data,
@@ -140,8 +142,10 @@ def test_circuit_round_trip_all_gate_kinds():
 # as some qubit ("01" as (0, 1), 1.7 as 1) or failed far from the file.
 BAD_GATE_QUBITS = [("ROT", ["a"]), ("ROT", [1.7]), ("ROT", [-1]), ("ROT", [True]), ("CNOT", "01")]
 # Matrix entries that are not [re, im] pairs of finite numbers; the first two
-# once ended in a ValueError or TypeError traceback.
-BAD_MATRIX_ENTRIES = [["a", 0], [None, 0], [1, 0, 0], "1+0j", {"re": 1, "im": 0}, [10**400, 0]]
+# once ended in a ValueError or TypeError traceback, the last three once
+# loaded as 1.5, 1.0 and 0.0.
+BAD_MATRIX_ENTRIES = [["a", 0], [None, 0], [1, 0, 0], "1+0j", {"re": 1, "im": 0}, [10**400, 0],
+                      ["1.5", 0], [True, 0], [0, "0"]]
 
 
 def bad_matrix(entry):
@@ -241,6 +245,20 @@ def test_circuit_file_rejects_bad_gates_with_context():
     for kind, data, ctx in boolean_numbers():
         with pytest.raises(ContractError, match="^" + re.escape(f"{kind}{ctx}: bad ")):
             LOADERS[kind](data)
+
+
+@pytest.mark.parametrize("rows", [[[["1.5", 0]]], [[[True, False]]], [[[1.0, "0"]]], [[[0, 0], [False, 0]]],
+                                  [[[1.0, 0.0], [0.5, 0.25, 0.0]], [[0.0, 0.0], [1.0]]]])
+def test_matrix_entries_must_be_json_numbers(rows):
+    with pytest.raises(ContractError, match=r"^m: complex values are \[re, im\] pairs of numbers$"):
+        json_to_matrix(rows, "m")
+
+
+def test_null_matrix_entries_stay_non_finite():
+    with pytest.raises(ContractError, match=r"^m: matrix has non-finite or null entries$"):
+        json_to_matrix([[[None, 0]]], "m")
+    with pytest.raises(ContractError, match=r"^m: matrix has non-finite or null entries$"):
+        json_to_matrix([[[1, 0], [0, None]]], "m")
 
 
 def test_sat_round_trip_pauli_form():
@@ -378,6 +396,50 @@ def test_matrix_loader_matches_entrywise_reference(re, im, real_only, ints):
     got = json_to_matrix(json.loads(json.dumps(rows)), "m")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# Pairs of a mostly zero matrix: +0.0 pairs dominate, -0.0 sits in one half of
+# an otherwise zero pair, and the rest are the values whose text json spells
+# differently from repr or that round to zero.
+SPARSE_PAIRS = [(0.0, 0.0)] * 8 + [(-0.0, 0.0), (0.0, -0.0), (5e-324, 0.0), (0.0, -5e-324), (float("nan"), 0.0),
+                                   (0.0, float("inf")), (float("-inf"), 0.0), (1.5, -2.0)]
+sides = st.integers(2, 6)
+matrix_shapes = st.one_of(st.just((1, 1)), sides.map(lambda k: (1, k)), sides.map(lambda k: (k, 1)),
+                          st.tuples(sides, sides))
+
+
+@st.composite
+def mostly_zero_matrices(draw):
+    """A complex matrix drawn pair by pair; each row's last pair and the matrix's last pair are drawn zero or not."""
+    rows, cols = draw(matrix_shapes)
+    pairs = np.array(draw(st.lists(st.sampled_from(SPARSE_PAIRS), min_size=rows * cols, max_size=rows * cols)))
+    pairs = pairs.reshape(rows, cols, 2)
+    for r in range(rows):
+        if draw(st.booleans()):
+            pairs[r, -1] = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, -0.0)]))
+    return pairs.view(complex)[..., 0]
+
+
+@seed(20090528)
+@settings(max_examples=200, deadline=None, database=None)
+@given(mostly_zero_matrices(), mostly_zero_matrices(), st.sampled_from([(0.0, 0.0), (0.0, -0.0), (2.0, float("nan"))]))
+def test_writer_renders_mostly_zero_matrices_as_json_dumps(outer, inner, last):
+    inner[-1, -1] = complex(*last)  # the matrix's last pair, zero or not
+    for order in ((outer, inner), (inner, outer)):  # each matrix at each of the two indentation depths
+        report = {"matrix": matrix_to_json(order[0]), "nested": {"list": [1, matrix_to_json(order[1])]}}
+        listed = {"matrix": list_form(order[0]), "nested": {"list": [1, list_form(order[1])]}}
+        assert report_to_json(report) == oracle_json(report) == oracle_json(listed)
+
+
+def test_sat_reduce_writes_the_oracle_bytes_of_the_clock_instance(tmp_path):
+    """The clock-sat workload's input: ROT·ROT (L = 2) at s = 1/2, reduced to 6 qubits."""
+    circuit = QuantumCircuit(1, (rot(0, 0.7), rot(0, -1.9)))
+    path, out = tmp_path / "sat.json", tmp_path / "reduced.json"
+    save_sat_instance(SatInstance.from_paulis(ff_term_hamiltonians(build_ff(circuit, 0.5)), 0.1), str(path))
+    assert run_command(["sat", "reduce", str(path), "--out", str(out)]) == 0
+    reduced = reduce_qsat(load_sat_instance(str(path)))
+    assert reduced.n == 6 and all(op.shape == (64, 64) for op in reduced.operators)
+    assert out.read_bytes() == sat_oracle(reduced).encode("utf-8")
 
 
 def test_sat_reduce_writes_the_oracle_bytes(tmp_path):
