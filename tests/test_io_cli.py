@@ -247,18 +247,18 @@ def test_circuit_file_rejects_bad_gates_with_context():
             LOADERS[kind](data)
 
 
-@pytest.mark.parametrize("rows", [[[["1.5", 0]]], [[[True, False]]], [[[1.0, "0"]]], [[[0, 0], [False, 0]]],
-                                  [[[1.0, 0.0], [0.5, 0.25, 0.0]], [[0.0, 0.0], [1.0]]]])
-def test_matrix_entries_must_be_json_numbers(rows):
-    with pytest.raises(ContractError, match=r"^m: complex values are \[re, im\] pairs of numbers$"):
+NOT_NUMBERS, NON_FINITE = r"complex values are \[re, im\] pairs of numbers", "matrix has non-finite or null entries"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[["1.5", 0]]], NOT_NUMBERS), ([[[True, False]]], NOT_NUMBERS), ([[[1.0, "0"]]], NOT_NUMBERS),
+    ([[[0, 0], [False, 0]]], NOT_NUMBERS), ([[[1.0, 0.0], [0.5, 0.25, 0.0]], [[0.0, 0.0], [1.0]]], NOT_NUMBERS),
+    ([[[None, 0]]], NON_FINITE), ([[[1, 0], [0, None]]], NON_FINITE),
+])
+def test_matrix_entries_must_be_json_numbers(rows, message):
+    """Strings, booleans and an uneven split of pairs are refused as non-numbers; null stays non-finite."""
+    with pytest.raises(ContractError, match=f"^m: {message}$"):
         json_to_matrix(rows, "m")
-
-
-def test_null_matrix_entries_stay_non_finite():
-    with pytest.raises(ContractError, match=r"^m: matrix has non-finite or null entries$"):
-        json_to_matrix([[[None, 0]]], "m")
-    with pytest.raises(ContractError, match=r"^m: matrix has non-finite or null entries$"):
-        json_to_matrix([[[1, 0], [0, None]]], "m")
 
 
 def test_sat_round_trip_pauli_form():
