@@ -45,7 +45,6 @@ from .mapping import (
     stoquastize,
 )
 from .clock import (
-    UNIVERSAL_ROT_ANGLE,
     BlockMatrix,
     FFHamiltonian,
     Gate,

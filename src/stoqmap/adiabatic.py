@@ -170,14 +170,10 @@ def stoquastic_interpolation_path(Ha, Hb) -> HamiltonianPath:
 
 @dataclass(eq=False)
 class AdiabaticTrace:
-    times: np.ndarray
-    u_values: np.ndarray
     overlaps: np.ndarray | None
     sector_populations: np.ndarray | None
     norms: np.ndarray
     final_state: np.ndarray
-    T: float
-    steps: int
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple[int, np.ndarray]:
@@ -320,8 +316,6 @@ def evolve(
         return float(overlap)
 
     samples = steps + 1
-    times = np.linspace(0.0, T, samples)
-    u_values = np.linspace(0.0, 1.0, samples)
     norms = np.zeros(samples)
     overlaps = np.zeros(samples) if target is not None else None
     pops = np.zeros(samples) if path.sector is not None else None
@@ -345,25 +339,12 @@ def evolve(
             amplitudes = np.einsum("bji,bj->bi", vecs.conj(), psi[idx]) * phases
             psi[idx] = np.einsum("bij,bj->bi", vecs, amplitudes)
         record(k + 1)
-    return AdiabaticTrace(
-        times=times,
-        u_values=u_values,
-        overlaps=overlaps,
-        sector_populations=pops,
-        norms=norms,
-        final_state=psi,
-        T=T,
-        steps=steps,
-    )
+    return AdiabaticTrace(overlaps=overlaps, sector_populations=pops, norms=norms, final_state=psi)
 
 
 @dataclass(frozen=True)
 class MeasurementReport:
-    n: int
-    clock_qubits: int
     shots: int
-    seed: int
-    padded: bool
     clock_success_probability: float
     clock_success_count: int
     clock_success_frequency: float
@@ -421,11 +402,7 @@ def measure_and_decode(
         counts[key] = counts.get(key, 0) + 1
     exact = {format(i, f"0{n}b"): float(p) for i, p in enumerate(conditional)}
     return MeasurementReport(
-        n=n,
-        clock_qubits=L_total + 1,
         shots=int(shots),
-        seed=int(seed),
-        padded=bool(padded),
         clock_success_probability=success_p,
         clock_success_count=int(hits.size),
         clock_success_frequency=float(hits.size) / shots if shots else 0.0,

@@ -24,10 +24,6 @@ from .pauli import (
 
 GATE_NAMES = ("CNOT", "ROT", "ID", "CUSTOM")
 
-# Rotation angle for the real universal gate set {CNOT, R(theta)}: the
-# square of R(pi/8) is a pi/4 rotation, which is not basis preserving.
-UNIVERSAL_ROT_ANGLE = np.pi / 8
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -136,10 +132,9 @@ class QuantumCircuit:
     def final_state(self) -> np.ndarray:
         return self.statevectors()[-1]
 
-    def padded(self, extra: int | None = None) -> "QuantumCircuit":
-        """Append identity gates (default: L of them, doubling the depth)."""
-        pad = self.L if extra is None else int(extra)
-        return QuantumCircuit(self.n, self.gates + tuple(identity_gate() for _ in range(pad)))
+    def padded(self) -> "QuantumCircuit":
+        """Append L identity gates, doubling the depth."""
+        return QuantumCircuit(self.n, self.gates + tuple(identity_gate() for _ in range(self.L)))
 
 
 def output_distribution(circuit: QuantumCircuit) -> dict[str, float]:

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from .clock import Gate, QuantumCircuit
+from .clock import GATE_NAMES, Gate, QuantumCircuit
 from .errors import ContractError
 from .pauli import LocalHamiltonian, _check_qubits, build_matrix
 from .protocols import SatInstance
@@ -171,7 +171,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
         ctx = f"{where}.gates[{i}]"
         _require(isinstance(gd, dict), ctx, "expected an object")
         name = gd.get("name")
-        _require(name in ("CNOT", "ROT", "ID", "CUSTOM"), ctx, f"bad gate name {name!r}")
+        _require(name in GATE_NAMES, ctx, f"bad gate name {name!r}")
         qubits = gd.get("qubits", [])
         _require(isinstance(qubits, list), ctx, f"qubits must be a list, got {qubits!r}")
         angle = gd.get("angle")

@@ -241,7 +241,9 @@ def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.
 
 
 def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of embed(local, qubits, n), read off the nonzeros of the dense local matrix."""
+    """(rows, cols, vals) of embed(local, qubits, n): the nonzeros of the dense local matrix in row-major order,
+    each spread over the other qubits in register order. The register is checked against the cap first."""
+    _check_qubits(n)
     qubits = tuple(int(q) for q in qubits)
     k = len(qubits)
     if len(set(qubits)) != k:
@@ -252,26 +254,10 @@ def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np
     local = np.asarray(local.toarray() if sp.issparse(local) else local)
     if local.shape != (1 << k, 1 << k):
         raise ContractError(f"local matrix shape {local.shape} does not match {k} qubits")
-    nonzero = np.nonzero(local)
-    target_pos = [n - 1 - q for q in qubits]
-    rest_pos = [p for p in range(n - 1, -1, -1) if p not in target_pos]
-    nrest = len(rest_pos)
-    rest = np.arange(1 << nrest, dtype=np.int64)
-    rest_scatter = np.zeros(1 << nrest, dtype=np.int64)
-    for j, pos in enumerate(rest_pos):
-        # bit (nrest-1-j) of the rest counter lands at global position pos
-        rest_scatter |= ((rest >> (nrest - 1 - j)) & 1) << pos
-
-    def scatter_local(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for j, pos in enumerate(target_pos):
-            out |= ((v >> (k - 1 - j)) & 1) << pos
-        return out
-
-    lrows, lcols = (scatter_local(i.astype(np.int64)) for i in nonzero)
-    rows = (lrows[:, None] | rest_scatter[None, :]).ravel()
-    cols = (lcols[:, None] | rest_scatter[None, :]).ravel()
-    return rows, cols, np.repeat(local[nonzero], 1 << nrest)
+    lrows, lcols = np.nonzero(local)
+    # row j of grid: the basis indices where `qubits` read local index j, the other qubits in register order
+    grid = np.moveaxis(np.arange(1 << n).reshape((2,) * n), qubits, range(k)).reshape(1 << k, -1)
+    return grid[lrows].ravel(), grid[lcols].ravel(), np.repeat(local[lrows, lcols], 1 << (n - k))
 
 
 def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> LocalHamiltonian:

@@ -88,14 +88,13 @@ class SatInstance:
 class SatDecision:
     verdict: str  # YES | NO | AMBIGUOUS
     ground_energy: float
-    epsilon: float
 
 
 def decide_sat(instance: SatInstance, tol: float = 1e-10, dense_cap: int = DENSE_CAP) -> SatDecision:
     """YES if the operator sum has a zero-energy state, NO if >= epsilon."""
     ground = float(_eigh(instance.total(), dense_cap, vectors=False)[0])
     verdict = _verdict(ground, tol, instance.epsilon - tol)
-    return SatDecision(verdict=verdict, ground_energy=ground, epsilon=instance.epsilon)
+    return SatDecision(verdict=verdict, ground_energy=ground)
 
 
 def _verdict(value: float, yes_at_most: float, no_at_least: float) -> str:
@@ -291,9 +290,6 @@ class AcceptanceReport:
     probability: float
     optimal_witness: np.ndarray
     bound: float
-    margin: float
-    c: int
-    threshold: float
     eigenvalues_below: int
 
 
@@ -323,13 +319,9 @@ def acceptance_operator(
     avals, avecs = _eigh(P @ E_ext @ P, dense_cap)
     prob = float(min(max(avals[-1], 0.0), 1.0))
     witness = avecs[:, -1]
-    bound = 1.0 - 1.0 / c
     return AcceptanceReport(
         probability=prob,
         optimal_witness=witness,
-        bound=bound,
-        margin=bound - prob,
-        c=c,
-        threshold=float(threshold),
+        bound=1.0 - 1.0 / c,
         eigenvalues_below=int(low.shape[1]),
     )

@@ -44,6 +44,8 @@ class SpectralReport:
 def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Spectrum:
     """Full spectrum by dense diagonalization (dim capped); method "dense_general" if M is not Hermitian."""
     A = _as_csr(M)
+    if A.shape[0] != A.shape[1]:
+        raise ContractError("expected a square matrix")
     _check_dense_cap(A.shape[0], dense_cap)  # before anything dense is allocated
     dense = A.toarray()
     try:

@@ -317,6 +317,24 @@ def test_blocked_evolve_matches_full_register_oracle(name, monkeypatch):
         assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
 
 
+def test_piece_narrower_than_a_step_holds_no_sample(monkeypatch):
+    """Three pieces whose middle one, [0.3, 0.31), holds no midpoint or record point of an 8-step run: it is
+    never searched or solved, and the run matches the oracle, which samples the same points."""
+    ff_path = ff_schedule_path(ROT_CNOT_ROT)
+    (ff,) = ff_path.pieces
+    head = PathPiece(0.3, ff.pattern, ff.parts, ff.coefficients)
+    path = HamiltonianPath((head, plus(ff, switched_extra(ROT_CNOT_ROT), end=0.31), ff), ff_path.sector)
+    initial, T, steps = ff_initial(ROT_CNOT_ROT), 12.0, 8
+    for target, searches in ((history_state(ROT_CNOT_ROT, 0.5), 2), ("ground", 4)):
+        want, rows = full_register_evolve(path, T, steps, initial, target)
+        calls = counting_component_searches(monkeypatch)
+        trace = evolve(path, T, steps, initial, target=target)
+        assert len(calls) == searches  # the head and the tail, once more for a ground run
+        assert np.max(np.abs(trace.final_state - want)) <= 1e-12
+        assert np.max(np.abs(trace.overlaps - rows[:, 1])) <= 1e-12
+        assert np.max(np.abs(trace.sector_populations - rows[:, 2])) <= 1e-12
+
+
 def test_blocks_are_the_pattern_components():
     def shapes(path):
         return sorted(idx.shape for idx, _, _ in pattern_blocks(path.pieces[0].pattern))
@@ -959,6 +977,15 @@ def test_decoded_counts_match_circuit_distribution():
             abs(report.decoded_counts.get(k, 0) / total - want[k]) for k in want
         )
         assert tv <= 0.05
+
+
+def test_state_that_never_passes_the_clock_decodes_nothing():
+    circuit = QuantumCircuit(2, (rot(0, 0.4), cnot(0, 1)))
+    report = measure_and_decode(ff_initial(circuit), circuit, shots=100, seed=1)  # clock time 0
+    assert report.clock_success_probability == 0.0
+    assert report.clock_success_count == 0 and report.decoded_counts == {}
+    assert report.decoded_distribution_exact == {key: 0.0 for key in ("00", "01", "10", "11")}
+    assert report.clock_success_frequency == 0.0
 
 
 def test_measure_rejects_layout_mismatch():

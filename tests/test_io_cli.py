@@ -549,6 +549,33 @@ def test_cli_map_complex_without_penalty(tmp_path):
     assert rep["results"]["kind"] == "stochastic-z4"
 
 
+@pytest.mark.parametrize("argv", [["stoquastic"], ["stochastic", "--p", "0"], ["complex", "--p", "0"]])
+def test_cli_map_above_the_dense_cap_keeps_flags_and_sector_check(tmp_path, argv):
+    """Above the cap no spectrum is written, psd comes from the iterative solve and the sector check reads the
+    sector operator of the realized map instead of a sector block."""
+    path = tmp_path / "h.json"
+    save_hamiltonian(random_instance(3, seed=1), str(path))
+    code, rep = run_report(["map", argv[0], str(path), *argv[1:]], tmp_path / "r.json")
+    capped_code, capped = run_report(["map", argv[0], str(path), *argv[1:], "--dense-cap", "4"], tmp_path / "c.json")
+    assert code == capped_code == 0
+    assert "eigenvalues" in rep["results"] and "eigenvalues" not in capped["results"]
+    assert capped["results"]["flags"] == rep["results"]["flags"]
+    checks = {c["name"]: c["passed"] for c in capped["checks"]}
+    assert checks["sector_preserves_input"]
+
+
+def test_cli_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m stoqmap` runs the command line, without the warning `python -m stoqmap.cli` gives."""
+    save_hamiltonian(random_instance(2, seed=3), str(tmp_path / "h.json"))
+    src = str(Path(stoqmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "stoqmap", "ham", "check", "h.json", "--out", "r.json"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+    with open(tmp_path / "r.json", encoding="utf-8") as fh:
+        assert json.load(fh)["results"]["flags"]["hermitian"] is True
+
+
 def test_cli_ham_check_and_spectrum(tmp_path):
     path = tmp_path / "h.json"
     H = random_instance(2, seed=6)

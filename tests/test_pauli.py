@@ -26,6 +26,7 @@ from stoqmap import (
     stochastize_complex,
     stoquastize,
 )
+from stoqmap.pauli import _embed_entries
 
 from oracles import mapped_terms
 
@@ -127,6 +128,43 @@ def test_embed_rejects_bad_qubits():
         embed(local, (3,), 3)
     with pytest.raises(ContractError):
         embed(sp.csr_matrix(np.kron(X, X)), (1, 1), 3)
+
+
+def embed_entries_oracle(local, qubits, n):
+    """(rows, cols, vals) of one local matrix placed in n qubits, entry by entry: nonzero by nonzero in
+    row-major order, then the other qubits counted up in register order (qubit 0 most significant)."""
+    k, rest = len(qubits), [q for q in range(n) if q not in qubits]
+    rows, cols, vals = [], [], []
+    for i, j in zip(*np.nonzero(local)):
+        for r in range(1 << len(rest)):
+            bits = {q: r >> (len(rest) - 1 - t) & 1 for t, q in enumerate(rest)}
+            for out, local_index in ((rows, i), (cols, j)):
+                bits.update({q: local_index >> (k - 1 - t) & 1 for t, q in enumerate(qubits)})
+                out.append(sum(bits[q] << (n - 1 - q) for q in range(n)))
+            vals.append(local[i, j])
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=local.dtype)
+
+
+def test_embed_entries_match_the_entrywise_oracle_in_order():
+    """_sum_terms adds duplicate positions in input order, so the entries' order is pinned, not only their set."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        qubits = tuple(rng.permutation(n)[:int(rng.integers(1, min(n, 3) + 1))].tolist())
+        dim = 1 << len(qubits)
+        local = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < 0.6)
+        if rng.random() < 0.5:
+            local = local + 1j * rng.standard_normal((dim, dim))
+        want = embed_entries_oracle(local, qubits, n)
+        for given in (local, sp.csr_matrix(local)):
+            for got, expected in zip(_embed_entries(given, qubits, n), want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_embed_refuses_an_oversized_register_before_allocating():
+    for n in (15, 45):  # 2^44 entries per nonzero would be 128 TiB of indices
+        with pytest.raises(ResourceError, match=f"{n} qubits exceed the 14-qubit realization cap"):
+            embed(np.eye(2), [0], n)
 
 
 def test_decompose_round_trip():

@@ -47,6 +47,15 @@ def test_eig_dense_cap():
         eig_dense(sp.identity(8, format="csr"), dense_cap=4)
 
 
+def test_eig_dense_refuses_a_non_square_matrix_before_the_cap():
+    for M in (np.ones((2, 3)), sp.csr_matrix(np.ones((3, 2)))):
+        for cap in (DENSE_CAP, 1):  # the shape is refused first, even above the cap
+            with pytest.raises(ContractError, match="expected a square matrix"):
+                eig_dense(M, dense_cap=cap, compute_vectors=cap == 1)
+        with pytest.raises(ContractError, match="square matrix"):
+            spectral_report(M)
+
+
 def test_eig_dense_reports_its_branch_and_hermiticity_is_tested_once(monkeypatch):
     assert eig_dense(np.diag([1.0, 2.0])).method == "dense"
     assert eig_dense(np.array([[0.0, 1.0], [0.0, 0.0]])).method == "dense_general"
