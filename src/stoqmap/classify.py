@@ -48,6 +48,14 @@ def _as_csr(M) -> sp.csr_matrix:
     return A
 
 
+def _square_csr(M) -> sp.csr_matrix:
+    """_as_csr(M), refused unless it is square."""
+    A = _as_csr(M)
+    if A.shape[0] != A.shape[1]:
+        raise ContractError("expected a square matrix")
+    return A
+
+
 def _max_abs(A: sp.spmatrix) -> float:
     return float(np.max(np.abs(A.data))) if A.nnz else 0.0
 
@@ -187,10 +195,8 @@ def kernel_projector_complement(M, tol: float = DEFAULT_TOL, dense_cap: int = DE
     M must be Hermitian positive semidefinite; eigenvalues <= tol count
     as kernel. Used to rewrite psd constraint operators as projectors.
     """
-    A = _as_csr(M)
+    A = _square_csr(M)
     dim = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ContractError("expected a square matrix")
     vals, vecs = _eigh(A, dense_cap, tol=tol)
     if vals[0] < -max(tol, KERNEL_PSD_FLOOR):
         raise ContractError(f"matrix is not psd (lowest eigenvalue {vals[0]:.3e})")

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import MatrixClassFlags, _as_csr, _check_dense_cap, _classify, _eigh, _eigsh, _residuals
+from .classify import (MatrixClassFlags, _as_csr, _check_dense_cap, _classify, _eigh, _eigsh, _residuals,
+                       _square_csr)
 from .errors import ContractError
 from .pauli import DENSE_CAP, _is_hermitian
 
@@ -43,9 +44,7 @@ class SpectralReport:
 
 def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Spectrum:
     """Full spectrum by dense diagonalization (dim capped); method "dense_general" if M is not Hermitian."""
-    A = _as_csr(M)
-    if A.shape[0] != A.shape[1]:
-        raise ContractError("expected a square matrix")
+    A = _square_csr(M)
     _check_dense_cap(A.shape[0], dense_cap)  # before anything dense is allocated
     dense = A.toarray()
     try:

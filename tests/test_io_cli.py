@@ -565,7 +565,7 @@ def test_cli_map_above_the_dense_cap_keeps_flags_and_sector_check(tmp_path, argv
 
 
 def test_cli_python_dash_m_runs_the_cli(tmp_path):
-    """`python -m stoqmap` runs the command line, without the warning `python -m stoqmap.cli` gives."""
+    """`python -m stoqmap` runs the command line and writes nothing to stderr."""
     save_hamiltonian(random_instance(2, seed=3), str(tmp_path / "h.json"))
     src = str(Path(stoqmap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
