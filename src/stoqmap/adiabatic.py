@@ -384,6 +384,8 @@ def measure_and_decode(
     lead_ones = (1 << (base_L + 1)) - 1
     success_cols = np.arange(lead_ones << shift, cdim)  # every pattern whose top base_L + 1 bits are ones
     probs = np.abs(final) ** 2
+    if not 0 < probs.sum() < math.inf:  # a NaN sum fails this too
+        raise ContractError("state must be finite and nonzero")
     probs = probs / probs.sum()
     table = probs.reshape(1 << n, cdim)
     success_p = float(table[:, success_cols].sum())

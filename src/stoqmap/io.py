@@ -8,6 +8,7 @@ reproduce byte-identical output.
 from __future__ import annotations
 
 import csv
+import gc
 import io as _io
 import json
 import math
@@ -45,38 +46,54 @@ def _read_json(path: str):
         raise ContractError(f"{path}: {exc}") from None
 
 
+def _load(path: str, from_data):
+    """from_data of the file at path, with the cyclic collector paused: parsed JSON holds no cycles to find."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_data(_read_json(path), where=path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _check_version(data: dict, where: str):
     _require(isinstance(data, dict), where, "expected a JSON object")
     version = data.get("version")
     _require(version == FORMAT_VERSION, where, f"unsupported version {version!r}")
 
 
-class _DenseMatrix(list):
-    """Rows of [re, im] float pairs: a plain list to readers, rendered by report_to_json from pairs, the
-    (rows, cols, 2) array the rows were listed from. Write-once: only matrix_to_json makes one and nothing
-    edits one in place, so the rows and pairs agree."""
+class _DenseMatrix:
+    """A dense matrix as pairs, the (rows, cols, 2) float array of its [re, im] pairs, which report_to_json writes
+    and json_to_matrix reads back as from a file. Only matrix_to_json makes one; nothing edits pairs in place."""
+
+    def __init__(self, pairs: np.ndarray):
+        self.pairs = pairs
+
+    def __eq__(self, other):  # equal to another dense matrix of equal pairs, or to the rows it is written as
+        return self.pairs.tolist() == (other.pairs.tolist() if isinstance(other, _DenseMatrix) else other)
 
 
-def matrix_to_json(M) -> list:
+def matrix_to_json(M) -> _DenseMatrix:
     dense = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
-    pairs = np.stack((dense.real, dense.imag), axis=-1)
-    matrix = _DenseMatrix(pairs.tolist())
-    matrix.pairs = pairs
-    return matrix
+    return _DenseMatrix(np.stack((dense.real, dense.imag), axis=-1))
 
 
 def json_to_matrix(rows, where: str) -> np.ndarray:
-    _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
-             where, "matrix must be a nonempty list of nonempty rows")
-    _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
-    try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
-        cells = [*chain.from_iterable(rows)]
-        entries = [*chain.from_iterable(cells)]
-        numbers = {*map(len, cells)} == {2} and {int, float, type(None)}.issuperset(map(type, entries))
-        pairs = np.array(entries, dtype=float).reshape(len(rows), -1, 2) if numbers else None
-    except (TypeError, OverflowError):  # an entry that is no list, an integer too large for a float
-        pairs = None
-    _require(pairs is not None, where, "complex values are [re, im] pairs of numbers")
+    if isinstance(rows, _DenseMatrix):  # held in memory: its pairs are the numbers the file would hold
+        pairs = rows.pairs.copy()
+    else:
+        _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
+                 where, "matrix must be a nonempty list of nonempty rows")
+        _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
+        try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
+            cells = [*chain.from_iterable(rows)]
+            entries = [*chain.from_iterable(cells)]
+            numbers = {*map(len, cells)} == {2} and {int, float, type(None)}.issuperset(map(type, entries))
+            pairs = np.array(entries, dtype=float).reshape(len(rows), -1, 2) if numbers else None
+        except (TypeError, OverflowError):  # an entry that is no list, an integer too large for a float
+            pairs = None
+        _require(pairs is not None, where, "complex values are [re, im] pairs of numbers")
     _require(bool(np.all(np.isfinite(pairs))), where, "matrix has non-finite or null entries")
     return pairs.view(complex)[..., 0] if pairs[..., 1].any() else pairs[..., 0]
 
@@ -139,7 +156,7 @@ def _term_error(where: str, i: int, msg: str, j: int | None = None) -> ContractE
 
 
 def load_hamiltonian(path: str) -> LocalHamiltonian:
-    return hamiltonian_from_data(_read_json(path), where=path)
+    return _load(path, hamiltonian_from_data)
 
 
 def save_hamiltonian(H: LocalHamiltonian, path: str) -> None:
@@ -192,7 +209,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
 
 
 def load_circuit(path: str) -> QuantumCircuit:
-    return circuit_from_data(_read_json(path), where=path)
+    return _load(path, circuit_from_data)
 
 
 def save_circuit(circuit: QuantumCircuit, path: str) -> None:
@@ -236,7 +253,6 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
     _require(isinstance(ops_data, list) and ops_data, where, "operators must be a nonempty list")
     matrices = []
     paulis = []
-    all_pauli = True
     for i, od in enumerate(ops_data):
         ctx = f"{where}.operators[{i}]"
         _require(isinstance(od, dict), ctx, "expected an object")
@@ -247,29 +263,25 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
             paulis.append(H)
             matrices.append(None)
         elif "matrix" in od:
-            all_pauli = False
             M = json_to_matrix(od["matrix"], ctx)
             _require(M.shape == (1 << n, 1 << n), ctx, f"matrix shape {M.shape} mismatches n={n}")
             matrices.append(sp.csr_matrix(M))
             paulis.append(None)
         else:
             raise ContractError(f"{ctx}: need either terms or matrix")
-    realized = tuple(
-        matrices[i] if matrices[i] is not None else build_matrix(paulis[i])
-        for i in range(len(ops_data))
-    )
+    realized = tuple(M if M is not None else build_matrix(H) for M, H in zip(matrices, paulis))
     return SatInstance(
         n=n,
         operators=realized,
         epsilon=float(epsilon),
         kind=kind,
-        pauli_operators=tuple(paulis) if all_pauli else None,
+        pauli_operators=tuple(paulis) if all(H is not None for H in paulis) else None,
         N_max=N_max,
     )
 
 
 def load_sat_instance(path: str) -> SatInstance:
-    return sat_instance_from_data(_read_json(path), where=path)
+    return _load(path, sat_instance_from_data)
 
 
 def save_sat_instance(instance: SatInstance, path: str) -> None:

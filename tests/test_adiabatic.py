@@ -996,6 +996,18 @@ def test_measure_rejects_layout_mismatch():
         measure_and_decode(history_state(circuit, 0.5), circuit, shots=-1)
 
 
+def test_measure_refuses_a_zero_or_non_finite_state():
+    """Such a state has no distribution to sample; it was once divided by its zero or NaN total."""
+    circuit = identity_circuit(1, 2)
+    h = history_state(circuit, 0.5)
+    bad = [np.zeros(h.size), np.where(np.arange(h.size) == 3, np.nan, h), np.where(np.arange(h.size) == 0, np.inf, h)]
+    for state in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's invalid-value warning included
+            with pytest.raises(ContractError, match="^state must be finite and nonzero$"):
+                measure_and_decode(state, circuit, shots=1)
+
+
 def test_measure_deterministic_for_seed():
     circuit = QuantumCircuit(1, (rot(0, 0.7), rot(0, -0.2)))
     h = history_state(circuit, 0.5)

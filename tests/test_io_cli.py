@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -37,6 +38,8 @@ from stoqmap import (
     hamiltonian_from_data,
     hamiltonian_to_data,
     identity_gate,
+    load_circuit,
+    load_hamiltonian,
     load_sat_instance,
     make_report,
     random_instance,
@@ -299,7 +302,8 @@ def list_form(M) -> list:
 
 
 def oracle_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps of data, each dense matrix the writer holds as an array listed as its [re, im] rows."""
+    return json.dumps(data, indent=2, sort_keys=True, default=lambda m: m.pairs.tolist()) + "\n"
 
 
 def sat_oracle(inst) -> str:
@@ -384,8 +388,9 @@ def test_writer_matches_list_form_on_generated_circuits(specs):
 @settings(max_examples=200, deadline=None, database=None)
 @given(arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
               elements=finite_floats),
-       arrays(float, (5, 5), elements=st.sampled_from([0.0, -0.0, 1e-300, 2.0])), st.booleans(), st.booleans())
-def test_matrix_loader_matches_entrywise_reference(re, im, real_only, ints):
+       arrays(float, (5, 5), elements=st.sampled_from([0.0, -0.0, 1e-300, 2.0])), st.booleans(), st.booleans(),
+       complex_matrices)
+def test_matrix_loader_matches_entrywise_reference(re, im, real_only, ints, M):
     im = np.zeros_like(re) if real_only else im[: re.shape[0], : re.shape[1]]
     rows = np.stack((re, im), axis=-1).tolist()
     if ints:  # JSON integers, as a hand-written file has them
@@ -396,6 +401,19 @@ def test_matrix_loader_matches_entrywise_reference(re, im, real_only, ints):
     got = json_to_matrix(json.loads(json.dumps(rows)), "m")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    # A matrix the writer holds in memory reads back as its file does, bit for bit or refused alike.
+    if real_only:  # imaginary parts of +0.0 and -0.0 only
+        M.imag = np.copysign(0.0, M.imag)
+    held = matrix_to_json(M)
+    assert not isinstance(held, list)
+    if np.all(np.isfinite(M)):
+        got, want = json_to_matrix(held, "m"), json_to_matrix(json.loads(report_to_json({"m": held}))["m"], "m")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    else:
+        for data in (held, json.loads(report_to_json({"m": held}))["m"]):
+            with pytest.raises(ContractError, match=f"^m: {NON_FINITE}$"):
+                json_to_matrix(data, "m")
 
 
 # Pairs of a mostly zero matrix: +0.0 pairs dominate, -0.0 sits in one half of
@@ -431,12 +449,17 @@ def test_writer_renders_mostly_zero_matrices_as_json_dumps(outer, inner, last):
         assert report_to_json(report) == oracle_json(report) == oracle_json(listed)
 
 
-def test_sat_reduce_writes_the_oracle_bytes_of_the_clock_instance(tmp_path):
-    """The clock-sat workload's input: ROT·ROT (L = 2) at s = 1/2, reduced to 6 qubits."""
+def reduce_clock_instance(tmp_path) -> tuple:
+    """The clock-sat workload's input, ROT·ROT (L = 2) at s = 1/2, saved and reduced to 6 qubits by the CLI."""
     circuit = QuantumCircuit(1, (rot(0, 0.7), rot(0, -1.9)))
     path, out = tmp_path / "sat.json", tmp_path / "reduced.json"
     save_sat_instance(SatInstance.from_paulis(ff_term_hamiltonians(build_ff(circuit, 0.5)), 0.1), str(path))
     assert run_command(["sat", "reduce", str(path), "--out", str(out)]) == 0
+    return path, out
+
+
+def test_sat_reduce_writes_the_oracle_bytes_of_the_clock_instance(tmp_path):
+    path, out = reduce_clock_instance(tmp_path)
     reduced = reduce_qsat(load_sat_instance(str(path)))
     assert reduced.n == 6 and all(op.shape == (64, 64) for op in reduced.operators)
     assert out.read_bytes() == sat_oracle(reduced).encode("utf-8")
@@ -453,6 +476,40 @@ def test_sat_reduce_writes_the_oracle_bytes(tmp_path):
     reduced = reduce_qsat(load_sat_instance(str(path)))
     assert "matrix" in sat_instance_to_data(reduced)["operators"][0]
     assert out.read_bytes() == sat_oracle(reduced).encode("utf-8")
+
+
+def test_loading_the_reduced_clock_instance_runs_no_collection(tmp_path):
+    """Its 24576 parsed [re, im] lists hold no cycles, so a load pauses the cyclic collector over them."""
+    _, out = reduce_clock_instance(tmp_path)
+    collections = []
+    callback = lambda phase, info: collections.append(info["generation"]) if phase == "start" else None
+    gc.callbacks.append(callback)
+    try:
+        reduced = load_sat_instance(str(out))
+    finally:
+        gc.callbacks.remove(callback)
+    assert reduced.n == 6 and collections == []
+
+
+def test_loads_leave_the_collector_as_they_found_it(tmp_path):
+    files = {load_hamiltonian: tmp_path / "h.json", load_circuit: tmp_path / "c.json",
+             load_sat_instance: tmp_path / "s.json"}
+    save_hamiltonian(proj(1), str(files[load_hamiltonian]))
+    save_circuit(QuantumCircuit(1, (rot(0, 0.3),)), str(files[load_circuit]))
+    save_sat_instance(SatInstance.from_paulis([proj(1)], epsilon=0.5), str(files[load_sat_instance]))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": "2"}', encoding="utf-8")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for load, good in files.items():
+                load(str(good))
+                assert gc.isenabled() is enabled
+                with pytest.raises(ContractError, match="unsupported version"):
+                    load(str(bad))
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_report_serialization_is_deterministic():
