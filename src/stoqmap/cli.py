@@ -244,7 +244,7 @@ def _cmd_clock_build(args, argv) -> int:
 
 def _cmd_clock_scan(args, argv) -> int:
     rows = [dict(zip(fmt.GAP_SCAN_COLUMNS, map(repr, row))) for row in gap_scan(args.Lmin, args.Lmax, args.s_samples)]
-    fmt.write_text(fmt.gap_scan_csv(rows), args.out)
+    fmt.write_text([fmt.gap_scan_csv(rows)], args.out)
     return 0
 
 

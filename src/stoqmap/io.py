@@ -13,6 +13,7 @@ import io as _io
 import json
 import math
 import re
+import sys
 from itertools import chain
 from typing import Any
 
@@ -40,8 +41,8 @@ def _read_json(path: str):
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:  # an integer longer than Python's int-to-str digit limit
         raise ContractError(f"{path}: {exc}") from None
 
@@ -315,11 +316,13 @@ def make_report(command: list[str], seed: int, tol: float, results: dict, checks
     }
 
 
-def report_to_json(report) -> str:
+def report_to_json(report, write=None):
     """The one JSON writer: json.dumps(report, indent=2, sort_keys=True) + "\\n" for reports and files.
 
     Each dense matrix is rendered from its array at the indentation json would give it and spliced into
-    json.dumps of the rest, in place of a tag that no string in the report contains."""
+    json.dumps of the rest, in place of a tag that no string in the report contains. Returns write(pieces)
+    for an iterator of the text's pieces, each matrix rendered when reached, and by default the text itself.
+    json.dumps runs before write is called, so a report that fails to serialize reaches no writer."""
     tag = "@matrix"
     while True:
         matrices: list[np.ndarray] = []
@@ -327,11 +330,10 @@ def report_to_json(report) -> str:
         if text.count(tag) == len(matrices):
             break
         tag = "@" + tag
-    parts = re.split(f'"{tag}(\\d+)"', text)
-    for j in range(1, len(parts), 2):
-        line = parts[j - 1][parts[j - 1].rfind("\n") + 1:]
-        parts[j] = _render_matrix(matrices[int(parts[j])], len(line) - len(line.lstrip(" ")))
-    return "".join(parts) + "\n"
+    parts = re.split(f'"{tag}(\\d+)"', text + "\n")
+    indents = [len(line) - len(line.lstrip(" ")) for line in (part[part.rfind("\n") + 1:] for part in parts[::2])]
+    return (write or "".join)(part if j % 2 == 0 else _render_matrix(matrices[int(part)], indents[j // 2])
+                              for j, part in enumerate(parts))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -350,28 +352,40 @@ def _with_tags(obj, tag: str, matrices: list):
 
 
 def _render_matrix(pairs: np.ndarray, indent: int) -> str:
-    """json.dumps(pairs.tolist(), indent=2) for a value whose line is indented by indent spaces."""
+    """json.dumps(pairs.tolist(), indent=2) for a value whose line is indented by indent spaces.
+
+    The text of the all-+0.0 matrix of this shape is built by repetition, and each other pair's text is
+    spliced in at its offset. Those are rendered once per distinct bit pattern, so -0.0 and +0.0 stay apart."""
     i0, i1, i2, i3 = (" " * (indent + step) for step in (0, 2, 4, 6))
-    zero = ((pairs == 0) & ~np.signbit(pairs)).all(axis=-1)  # pairs of +0.0; -0.0 goes through repr
-    texts = np.full(zero.shape, f"[\n{i3}0.0,\n{i3}0.0\n{i2}]", dtype=object)
-    texts[~zero] = [f"[\n{i3}{re!r},\n{i3}{im!r}\n{i2}]" for re, im in pairs[~zero].tolist()]
-    body = f"\n{i1}],\n{i1}[\n{i2}".join(f",\n{i2}".join(row) for row in texts.tolist())
-    if "n" in body:  # json writes nan, inf and -inf as NaN, Infinity, -Infinity; no finite repr has an n
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{i1}[\n{i2}{body}\n{i1}]\n{i0}]"
+    zero, mid, end = f"[\n{i3}0.0,\n{i3}0.0\n{i2}]", f",\n{i2}", f"\n{i1}],\n{i1}[\n{i2}"
+    rows, cols, _ = pairs.shape
+    body = end.join([(zero + mid) * (cols - 1) + zero] * rows)
+    bits = pairs.reshape(-1, 2).view(np.uint64)  # +0.0 is the one float whose bits are all zero
+    k = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    distinct, which = np.unique(bits[k].view("V16").ravel(), return_inverse=True)
+    # json writes nan, inf and -inf as NaN, Infinity, -Infinity; no finite repr has an n
+    texts = [f"[\n{i3}{re!r},\n{i3}{im!r}\n{i2}]".replace("nan", "NaN").replace("inf", "Infinity")
+             for re, im in distinct.view(float).reshape(-1, 2).tolist()]
+    start = k * (len(zero) + len(mid)) + k // cols * (len(end) - len(mid))
+    cuts = [0, *np.stack((start, start + len(zero)), axis=-1).ravel().tolist(), len(body)]
+    pieces = [f"[\n{i1}[\n{i2}", *[None] * (2 * len(k) + 1), f"\n{i1}]\n{i0}]"]
+    pieces[1:-1:2] = [body[a:b] for a, b in zip(cuts[::2], cuts[1::2])]
+    pieces[2:-1:2] = [texts[i] for i in which.tolist()]
+    return "".join(pieces)
 
 
 def write_report(report: dict, path: str | None) -> None:
-    write_text(report_to_json(report), path)
+    """report_to_json(report) to the file at path, or to stdout when path is None, one piece at a time."""
+    report_to_json(report, lambda pieces: write_text(pieces, path))
 
 
-def write_text(text: str, path: str | None) -> None:
-    """text to the file at path, or to stdout when path is None."""
+def write_text(pieces, path: str | None) -> None:
+    """The strings of pieces, one after another, to the file at path, or to stdout when path is None."""
     if path is None:
-        print(text, end="")
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 GAP_SCAN_COLUMNS = [

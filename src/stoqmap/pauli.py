@@ -85,7 +85,7 @@ def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
 
 def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of a sparse matrix, ready to feed _sum_terms."""
-    A = sp.csr_matrix(A)
+    A = A.tocsr()
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     return rows, A.indices, A.data
 

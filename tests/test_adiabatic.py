@@ -76,7 +76,7 @@ def ones(u):
 
 def affine_path(parts, coefficients, sector=None):
     """One piece: the (dense or sparse) parts on the union of their stored entries, duplicates summed."""
-    entries = [_csr_entries(M) for M in parts]
+    entries = [_csr_entries(sp.csr_matrix(M)) for M in parts]
     piece = PathPiece(1.0, *adiabatic._on_one_pattern(parts[0].shape[0], entries), coefficients)
     return HamiltonianPath((piece,), sector)
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ from stoqmap import (
     save_sat_instance,
     spectral_report,
     stochastize,
+    write_report,
 )
 from stoqmap.io import GAP_SCAN_COLUMNS, json_to_matrix, matrix_to_json
 
@@ -512,6 +514,52 @@ def test_loads_leave_the_collector_as_they_found_it(tmp_path):
         gc.enable()
 
 
+def test_write_report_streams_the_text_of_report_to_json(tmp_path, capsys):
+    odd = np.array([[complex(-0.0, 1.0), complex(0.0, -0.0)], [complex(float("nan"), 2.0), 0.0]])
+    report = {"matrix": matrix_to_json(odd), "nested": {"list": [1, matrix_to_json(np.arange(3.0)[None, :])]},
+              "column": matrix_to_json(np.array([[0.0], [0.5j], [0.0]])), "zeros": matrix_to_json(np.zeros((2, 2)))}
+    text = report_to_json(report)
+    assert text == oracle_json(report) and "-0.0" in text and "NaN" in text
+    out = tmp_path / "r.json"
+    write_report(report, str(out))
+    assert out.read_bytes() == text.encode("utf-8")
+    capsys.readouterr()
+    write_report(report, None)
+    assert capsys.readouterr().out == text
+
+
+def test_sat_reduce_prints_the_bytes_it_writes(tmp_path, capsysbinary):
+    path, out = reduce_clock_instance(tmp_path)
+    capsysbinary.readouterr()
+    assert run_command(["sat", "reduce", str(path)]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_a_report_that_fails_to_serialize_leaves_the_file_untouched(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    write_report({"kept": True}, str(out))
+    before = out.read_bytes()
+    report = {"matrix": matrix_to_json(np.eye(2)), "z": object()}
+    for path in (str(out), None):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report(report, path)
+    assert out.read_bytes() == before and capsys.readouterr().out == ""
+
+
+def test_writing_the_reduced_clock_instance_allocates_less_than_twice_its_size(tmp_path):
+    path, out = reduce_clock_instance(tmp_path)
+    data = sat_instance_to_data(reduce_qsat(load_sat_instance(str(path))))
+    again = tmp_path / "again.json"
+    tracemalloc.start()
+    try:
+        write_report(data, str(again))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.read_bytes() == out.read_bytes()
+    assert peak < 2 * out.stat().st_size, (peak, out.stat().st_size)
+
+
 def test_report_serialization_is_deterministic():
     rep = make_report(["ham", "check", "h.json"], 0, 1e-10, {"n": 1}, [])
     assert report_to_json(rep) == report_to_json(
@@ -714,10 +762,13 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
     assert run_command(["clock", "gap-scan", "--Lmin", "1", "--Lmax", "2", "--bogus"]) == 2
     assert run_command(["ham", "check", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert run_command(["ham", "check", str(bad)]) == 2
-    capsys.readouterr()
+    for text in ("", "{not json"):  # a syntax error names its file, and stays a JSONDecodeError for library callers
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_command(["ham", "check", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        with pytest.raises(json.JSONDecodeError, match=f"^{re.escape(str(bad))}: .*char "):
+            load_hamiltonian(str(bad))
     deep = tmp_path / "deep.json"
     save_circuit(QuantumCircuit(1, tuple(rot(0, 0.1) for _ in range(40))), str(deep))
     assert run_command(["clock", "build", str(deep)]) == 2
