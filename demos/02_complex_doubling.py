@@ -22,11 +22,11 @@ H = random_instance(2, locality=2, seed=12, include_y=True)
 spec_H = eig_dense(build_matrix(H), compute_vectors=False).eigenvalues
 print(f"complex H on {H.n} qubits, spectrum {np.round(spec_H, 4)}")
 
-mapped, sectors = stochastize_complex(H)
+mapped = stochastize_complex(H)
 N = mapped.normalization
 err = np.max(np.abs(mapped.sector_operator("v1").toarray() - build_matrix(H).toarray() / N))
 print(f"v1 sector operator equals H/N up to {err:.2e} (N = {N:.3f})")
-conj_err = np.max(np.abs(sectors.H(3).toarray() - np.conj(sectors.H(1).toarray())))
+conj_err = np.max(np.abs(mapped.sector_operator("v3").toarray() - np.conj(mapped.sector_operator("v1").toarray())))
 print(f"v3 sector carries the conjugate problem (difference {conj_err:.2e})")
 
 penalized = add_penalty_complex(mapped, 0.25)

@@ -34,7 +34,6 @@ from .spectra import (
 )
 from .mapping import (
     MappedHamiltonian,
-    SectorDecomposition,
     add_ancilla_penalty,
     add_penalty_complex,
     sector_spectrum,
@@ -60,7 +59,6 @@ from .clock import (
     gap_scan,
     history_state,
     identity_gate,
-    legal_basis,
     output_distribution,
     rot,
 )

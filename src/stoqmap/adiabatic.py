@@ -119,9 +119,9 @@ def ff_schedule_path(circuit: QuantumCircuit) -> HamiltonianPath:
 
     Every H^FF(s) preserves the span of the legal clock configurations,
     so that span is tracked as the protected sector. Its projector B B^dagger
-    (B = legal_basis) is the 0/1 diagonal 1 (x) sum_t |c_t><c_t|, since the
-    columns of B at one clock time are a unitary image of the work basis:
-    the sector is the legal basis states themselves.
+    (B with columns (U_t..U_1|x>) (x) |c_t>) is the 0/1 diagonal
+    1 (x) sum_t |c_t><c_t|, since the columns of B at one clock time are a
+    unitary image of the work basis: the sector is the legal basis states themselves.
     """
     fixed = [(t.qubits, t.local) for t in _fixed_terms(circuit)]  # checks the register first
     props = _propagation_pieces(circuit)  # (qubits, lo, hi, hop) per gate

@@ -168,7 +168,7 @@ def _cmd_map(args, argv) -> int:
             mapped = add_ancilla_penalty(mapped, p)
         sector = "-"
     else:
-        mapped, _ = stochastize_complex(H)
+        mapped = stochastize_complex(H)
         if p:
             mapped = add_penalty_complex(mapped, p)
         sector = "v1"
@@ -362,3 +362,8 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":  # `python -m stoqmap.cli` runs a second copy of this module beside the package's
+    print("error: run the command-line interface as `python -m stoqmap`", file=sys.stderr)
+    sys.exit(2)

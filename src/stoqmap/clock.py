@@ -345,29 +345,6 @@ def gap_scan(Lmin: int, Lmax: int, s_samples: int) -> list[tuple[int, float, flo
     return rows
 
 
-def legal_basis(ff: FFHamiltonian) -> np.ndarray:
-    """Columns chi_x^j = (U_j..U_1|x>) (x) |c_j>, ordered x-major.
-
-    These span the kernel of the clock penalty (plus pin) and
-    block-diagonalize init + prop into the matrices M_x.
-    """
-    n, L = ff.n, ff.L
-    cdim = 1 << (L + 1)
-    dim = ff.dim
-    cols = np.zeros((dim, (1 << n) * (L + 1)), dtype=complex)
-    gates = [None] + [embed(g.unitary(), g.qubits, n) if g.name != "ID" else None for g in ff.circuit.gates]
-    for x in range(1 << n):
-        psi = np.zeros(1 << n, dtype=complex)
-        psi[x] = 1.0
-        for j in range(L + 1):
-            if j:
-                psi = gates[j] @ psi if gates[j] is not None else psi
-            col = np.zeros(dim, dtype=complex)
-            col[clock_state_index(j, L)::cdim] = psi
-            cols[:, x * (L + 1) + j] = col
-    return cols
-
-
 def ff_term_hamiltonians(ff: FFHamiltonian) -> list[LocalHamiltonian]:
     """Pauli form of every clock term, embedded in the full register."""
     out = []

@@ -20,9 +20,10 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
+from .classify import _check_dense_cap
 from .clock import GATE_NAMES, Gate, QuantumCircuit
 from .errors import ContractError
-from .pauli import LocalHamiltonian, _check_qubits, build_matrix
+from .pauli import DENSE_CAP, LocalHamiltonian, _check_qubits, build_matrix
 from .protocols import SatInstance
 from .spectra import SpectralReport
 
@@ -76,6 +77,7 @@ class _DenseMatrix:
 
 
 def matrix_to_json(M) -> _DenseMatrix:
+    _check_dense_cap(max(np.shape(M)), DENSE_CAP)  # before toarray: a file matrix is read back densely
     dense = np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
     return _DenseMatrix(np.stack((dense.real, dense.imag), axis=-1))
 

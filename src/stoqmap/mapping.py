@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from .classify import _max_abs, _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    _PHASE, DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _phase_matrix, _scatter_sum,
-    _sum_terms, _term_phases, build_matrix, remap_qubits,
+    DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _scatter_sum, _sum_terms, _term_phases,
+    build_matrix, remap_qubits,
 )
 from .spectra import eig_dense
 
@@ -122,23 +122,6 @@ class MappedHamiltonian:
         return _sum_terms(1 << self.n, [(1.0, i, j, w[labels.index(sector)])])
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Effective operators of the four ancilla sectors of the Z4 map of `source`.
-
-    H(1) is the input Hamiltonian itself and H(3) its entrywise complex
-    conjugate; 0 and 2 carry the entrywise absolute value combinations
-    picked up by the map. No 1/N normalization here. Each operator is
-    built only when asked for.
-    """
-
-    source: LocalHamiltonian
-
-    def H(self, j: int) -> sp.csr_matrix:
-        # sector j sees the entry i^k as the phase i^(jk)
-        return _phase_matrix(self.source, _PHASE[(j * np.arange(4)) % 4])
-
-
 def _cycle_rows(H: LocalHamiltonian, m: int, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, rows) of every term's image on n + log2(m) qubits, rows terms x 2^n m.
 
@@ -217,22 +200,20 @@ def add_ancilla_penalty(mapped: MappedHamiltonian, p: float) -> MappedHamiltonia
     return _with_penalty(mapped, p, "stochastic-penalty", warnings)
 
 
-def stochastize_complex(H: LocalHamiltonian) -> tuple[MappedHamiltonian, SectorDecomposition]:
+def stochastize_complex(H: LocalHamiltonian) -> MappedHamiltonian:
     """Map an arbitrary Hamiltonian to a stochastic matrix on n+2 qubits.
 
     Entry phases {1, i, -1, -i} are replaced by powers {I, F, F^2, F^3}
     of the ancilla 4-cycle. Sector v_1 carries H/N, sector v_3 carries
-    the conjugate; the returned decomposition gives all four sector
-    operators without the 1/N factor.
+    the conjugate; sector_operator reads any of the four off the map.
     """
     if not H.num_terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
     alpha, rows = _cycle_rows(H, 4)
-    mapped = MappedHamiltonian(
+    return MappedHamiltonian(
         n=H.n, ancilla_count=2, weights=alpha / N, rows=rows, normalization=N, kind="stochastic-z4"
     )
-    return mapped, SectorDecomposition(H)
 
 
 def add_penalty_complex(mapped: MappedHamiltonian, p: float) -> MappedHamiltonian:
@@ -282,7 +263,7 @@ def stochastize_ff(terms: list[LocalHamiltonian], p: float) -> list[sp.csr_matri
     for H in terms:
         w = p * H.N / N
         if use_z4:
-            mapped = add_penalty_complex(stochastize_complex(H)[0], w)
+            mapped = add_penalty_complex(stochastize_complex(H), w)
         else:
             mapped = add_ancilla_penalty(stochastize(H), w)
         out.append(mapped.realize())

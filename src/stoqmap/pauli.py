@@ -29,6 +29,8 @@ KERNEL_PSD_FLOOR = 1e-8
 FF_PSD_FLOOR = 1e-9
 # Largest imaginary part of a Pauli coefficient pauli_decompose still reads as real.
 PAULI_IMAG_TOL = 1e-9
+# pauli_decompose drops a Pauli coefficient whose magnitude is at most PAULI_DROP_TOL.
+PAULI_DROP_TOL = 1e-12
 
 PAULI_LABELS = ("X", "Y", "Z")
 
@@ -220,15 +222,11 @@ def _term_phases(H: LocalHamiltonian, ancillas: int = 0) -> tuple[np.ndarray, np
     return np.abs(H.coeff), cols ^ x[:, None], (2 * odd + k0[:, None]) % 4
 
 
-def _phase_matrix(H: LocalHamiltonian, table: np.ndarray) -> sp.csr_matrix:
-    """sum_t alpha_t T_t, where T_t is term t with each entry phase i^k replaced by table[k]."""
-    alpha, rows, k = _term_phases(H)
-    return _sum_terms(1 << H.n, [(alpha[:, None], rows, np.arange(1 << H.n, dtype=np.int32), table[k])])
-
-
 def build_matrix(H: LocalHamiltonian) -> sp.csr_matrix:
     """Realize a LocalHamiltonian as a sparse 2^n x 2^n matrix (real when every term is)."""
-    return _phase_matrix(H, _PHASE.real if H.has_real_entries() else _PHASE)
+    alpha, rows, k = _term_phases(H)
+    phase = _PHASE.real if H.has_real_entries() else _PHASE
+    return _sum_terms(1 << H.n, [(alpha[:, None], rows, np.arange(1 << H.n, dtype=np.int32), phase[k])])
 
 
 def embed(local: np.ndarray | sp.spmatrix, qubits: Sequence[int], n: int) -> sp.csr_matrix:
@@ -260,7 +258,7 @@ def _embed_entries(local, qubits: Sequence[int], n: int) -> tuple[np.ndarray, np
     return grid[lrows].ravel(), grid[lcols].ravel(), np.repeat(local[lrows, lcols], 1 << (n - k))
 
 
-def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> LocalHamiltonian:
+def pauli_decompose(matrix: np.ndarray | sp.spmatrix) -> LocalHamiltonian:
     """Expand a Hermitian matrix on k qubits into weighted Pauli strings.
 
     Inverse of build_matrix up to the merge rules. One 4 x 4 transform
@@ -284,7 +282,7 @@ def pauli_decompose(matrix: np.ndarray | sp.spmatrix, tol: float = 1e-12) -> Loc
     coeffs = coeffs.ravel() / dim
     if np.abs(coeffs.imag).max() > PAULI_IMAG_TOL:
         raise ContractError("matrix is not Hermitian; Pauli coefficients would be complex")
-    words = np.flatnonzero(np.abs(coeffs.real) > tol)
+    words = np.flatnonzero(np.abs(coeffs.real) > PAULI_DROP_TOL)
     # base-4 digit k-1-q of a word is qubit q's label: 0, 1, 2, 3 for I, X, Y, Z
     digits = words[:, None] >> 2 * (k - 1 - np.arange(k)) & 3
     bits = 1 << np.arange(k)
@@ -308,16 +306,10 @@ def remap_qubits(H: LocalHamiltonian, mapping: Sequence[int], total_n: int) -> L
     return LocalHamiltonian(total_n, x, z, H.coeff)
 
 
-def random_instance(
-    n: int,
-    locality: int = 2,
-    seed: int = 0,
-    scale: float = 1.0,
-    include_y: bool = False,
-) -> LocalHamiltonian:
+def random_instance(n: int, locality: int = 2, seed: int = 0, include_y: bool = False) -> LocalHamiltonian:
     """Random field/coupling Hamiltonian with X and Z terms (optionally Y).
 
-    Coefficients are uniform in [-scale, scale]; draws are deterministic
+    Coefficients are uniform in [-1, 1]; draws are deterministic
     given the seed. locality 1 gives single-qubit fields only, locality
     2 adds two-qubit XX and ZZ couplings (plus XY when include_y).
     """
@@ -339,5 +331,5 @@ def random_instance(
                 if include_y:
                     words.append({i: "X", j: "Y"})
     rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-scale, scale, size=len(words))
+    coeffs = rng.uniform(-1.0, 1.0, size=len(words))
     return LocalHamiltonian.from_signed(n, zip(coeffs, words))

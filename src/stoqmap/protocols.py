@@ -59,13 +59,14 @@ class SatInstance:
         return len(self.operators)
 
     @classmethod
-    def from_paulis(cls, hams, epsilon: float, kind: str = "quantum") -> "SatInstance":
+    def from_paulis(cls, hams, epsilon: float) -> "SatInstance":
+        """A quantum instance whose operators are the given Pauli-form Hamiltonians."""
         hams = tuple(hams)
         return cls(
             n=hams[0].n,
             operators=tuple(build_matrix(H) for H in hams),
             epsilon=epsilon,
-            kind=kind,
+            kind="quantum",
             pauli_operators=hams,
         )
 
@@ -106,19 +107,20 @@ def _verdict(value: float, yes_at_most: float, no_at_least: float) -> str:
     return "AMBIGUOUS"
 
 
-def reduce_qsat(instance: SatInstance, p: float = 1.0 / 3.0) -> SatInstance:
+def reduce_qsat(instance: SatInstance) -> SatInstance:
     """Map a quantum SAT instance of projectors to a stochastic one.
 
     Each projector Pi_j becomes (1-p)(1+X_anc1)/2 + p Pi~_j on two extra
-    ancilla qubits, where Pi~_j is the four-cycle image of Pi_j divided
-    by its normalization N_j. The promise gap rescales to
-    p epsilon / (m N_max), which is epsilon/(3 m N_max) at the default
-    p = 1/3.
+    ancilla qubits, with the paper's p = 1/3, where Pi~_j is the
+    four-cycle image of Pi_j divided by its normalization N_j. The
+    promise gap rescales to p epsilon / (m N_max) = epsilon/(3 m N_max).
+    The reduced register must fit the dense cap, since every reduced
+    operator is written and decided densely.
     """
     if instance.kind != "quantum":
         raise ContractError("reduction starts from a quantum instance")
-    if not (0.0 < p <= 1.0 / 3.0):
-        raise ContractError(f"p must lie in (0, 1/3], got {p}")
+    _check_dense_cap(1 << (instance.n + 2), DENSE_CAP)
+    p = 1.0 / 3.0
     hams: list[LocalHamiltonian] = []
     for i, op in enumerate(instance.operators):
         flags = classify(op)
@@ -134,7 +136,7 @@ def reduce_qsat(instance: SatInstance, p: float = 1.0 / 3.0) -> SatInstance:
     out_ops = []
     norms = []
     for H in hams:
-        mapped, _ = mapping.stochastize_complex(H)
+        mapped = mapping.stochastize_complex(H)
         norms.append(mapped.normalization)
         out_ops.append(mapping._with_penalty(mapped, p, "stochastic-z4-penalty", ()).realize())
     N_max = max(norms)
@@ -288,7 +290,6 @@ def lemma1_value(phi: np.ndarray, alpha: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class AcceptanceReport:
     probability: float
-    optimal_witness: np.ndarray
     bound: float
     eigenvalues_below: int
 
@@ -316,12 +317,10 @@ def acceptance_operator(
     E = low @ low.conj().T
     P = antisym_projector(d, c, dense_cap=dense_cap).toarray()
     E_ext = np.kron(E, np.eye(d ** (c - 1)))
-    avals, avecs = _eigh(P @ E_ext @ P, dense_cap)
+    avals = _eigh(P @ E_ext @ P, dense_cap, vectors=False)
     prob = float(min(max(avals[-1], 0.0), 1.0))
-    witness = avecs[:, -1]
     return AcceptanceReport(
         probability=prob,
-        optimal_witness=witness,
         bound=1.0 - 1.0 / c,
         eigenvalues_below=int(low.shape[1]),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from stoqmap import ContractError
+from stoqmap import ContractError, clock_state_index, embed
 
 
 def sample(path, u):
@@ -29,3 +29,26 @@ def sector_isometry(mapped, sector):
         raise ContractError(f"unknown sector {sector!r}; have {sorted(basis)}")
     a = basis[sector].reshape(-1, 1)
     return sp.kron(sp.identity(1 << mapped.n, format="csr"), sp.csr_matrix(a), format="csr")
+
+
+def legal_basis(ff):
+    """Columns chi_x^j = (U_j..U_1|x>) (x) |c_j> of an FFHamiltonian, ordered x-major.
+
+    These span the kernel of the clock penalty (plus pin) and
+    block-diagonalize init + prop into the matrices M_x.
+    """
+    n, L = ff.n, ff.L
+    cdim = 1 << (L + 1)
+    dim = ff.dim
+    cols = np.zeros((dim, (1 << n) * (L + 1)), dtype=complex)
+    gates = [None] + [embed(g.unitary(), g.qubits, n) if g.name != "ID" else None for g in ff.circuit.gates]
+    for x in range(1 << n):
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[x] = 1.0
+        for j in range(L + 1):
+            if j:
+                psi = gates[j] @ psi if gates[j] is not None else psi
+            col = np.zeros(dim, dtype=complex)
+            col[clock_state_index(j, L)::cdim] = psi
+            cols[:, x * (L + 1) + j] = col
+    return cols

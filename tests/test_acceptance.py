@@ -126,7 +126,7 @@ def test_criterion_02_structural_flags():
             if bad:
                 problems.append(f"{name} map seed {k}: {bad}")
     for k, H in enumerate(complex_family(6, min_gap=0.0)):
-        mapped, _ = stochastize_complex(H)
+        mapped = stochastize_complex(H)
         for name, out in (
             ("four-cycle", mapped),
             ("four-cycle penalized", add_penalty_complex(mapped, 0.25)),
@@ -270,7 +270,7 @@ def test_criterion_07_four_cycle_doubling():
     problems = []
     for k, H in enumerate(complex_family(10, min_gap=1e-2)):
         tag = f"instance {k} (n={H.n})"
-        mapped, _ = stochastize_complex(H)
+        mapped = stochastize_complex(H)
         N = mapped.normalization
         sector = mapped.sector_operator("v1").toarray()
         err = np.max(np.abs(sector - build_matrix(H).toarray() / N))

@@ -30,7 +30,6 @@ from stoqmap import (
     ff_schedule_path,
     history_state,
     identity_gate,
-    legal_basis,
     measure_and_decode,
     output_distribution,
     rot,
@@ -43,7 +42,7 @@ from stoqmap import (
 
 from stoqmap.pauli import _csr_entries
 from stoqmap.spectra import DEGENERACY_TOL
-from oracles import sample
+from oracles import legal_basis, sample
 from test_clock_path import four_part_path
 
 adiabatic = importlib.import_module("stoqmap.adiabatic")

@@ -15,10 +15,10 @@ from stoqmap import (
     gap_formulas,
     history_state,
     identity_gate,
-    legal_basis,
     output_distribution,
     rot,
 )
+from oracles import legal_basis
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 

@@ -480,6 +480,23 @@ def test_sat_reduce_writes_the_oracle_bytes(tmp_path):
     assert out.read_bytes() == sat_oracle(reduced).encode("utf-8")
 
 
+def test_sat_reduce_refuses_a_register_above_the_dense_cap_before_allocating(tmp_path, capsys):
+    """11 work qubits reduce to 13: each dense 8192 x 8192 complex operator would take 1 GiB."""
+    path, out = tmp_path / "sat.json", tmp_path / "reduced.json"
+    save_sat_instance(SatInstance.from_paulis([ham(11, [(0.5, {}), (-0.5, {0: "Z"})])], epsilon=1.0), str(path))
+    tracemalloc.start()
+    try:
+        code = run_command(["sat", "reduce", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "exceeds the dense cap 4096" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 16 * 2**20, peak
+    with pytest.raises(ResourceError, match="dense cap"):
+        matrix_to_json(sp.identity(8192, format="csr"))
+
+
 def test_loading_the_reduced_clock_instance_runs_no_collection(tmp_path):
     """Its 24576 parsed [re, im] lists hold no cycles, so a load pauses the cyclic collector over them."""
     _, out = reduce_clock_instance(tmp_path)
@@ -679,6 +696,17 @@ def test_cli_python_dash_m_runs_the_cli(tmp_path):
     assert run.returncode == 0 and run.stderr == ""
     with open(tmp_path / "r.json", encoding="utf-8") as fh:
         assert json.load(fh)["results"]["flags"]["hermitian"] is True
+
+
+def test_cli_python_dash_m_on_the_cli_module_fails_and_names_the_entry_point(tmp_path):
+    """`python -m stoqmap.cli` would run a second copy of the module beside the package's: it exits 2."""
+    save_hamiltonian(random_instance(2, seed=3), str(tmp_path / "h.json"))
+    src = str(Path(stoqmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "stoqmap.cli", "ham", "check", "h.json", "--out", "r.json"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and "python -m stoqmap`" in run.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_ham_check_and_spectrum(tmp_path):

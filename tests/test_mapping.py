@@ -180,7 +180,7 @@ def test_z4_cycle_eigenvectors():
 
 
 def test_z4_y_is_permutation():
-    mapped, dec = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
+    mapped = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
     M = mapped.realize().toarray()
     flags = classify(M)
     assert flags.permutation
@@ -189,24 +189,22 @@ def test_z4_y_is_permutation():
 
 def test_z4_sector_decomposition_identities():
     H = random_instance(2, seed=6, include_y=True)
-    mapped, dec = stochastize_complex(H)
-    dense = build_matrix(H).toarray()
-    assert np.max(np.abs(dec.H(1).toarray() - dense)) < 1e-12
-    assert np.max(np.abs(dec.H(3).toarray() - dense.conj())) < 1e-12
-    got = mapped.sector_operator("v1").toarray()
-    assert np.max(np.abs(got - dense / mapped.normalization)) < 1e-12
+    mapped = stochastize_complex(H)
+    want = build_matrix(H).toarray() / mapped.normalization
+    assert np.max(np.abs(mapped.sector_operator("v1").toarray() - want)) < 1e-12
+    assert np.max(np.abs(mapped.sector_operator("v3").toarray() - want.conj())) < 1e-12
 
 
 def test_z4_real_input_self_conjugate():
     H = random_instance(2, seed=2)
-    mapped, dec = stochastize_complex(H)
-    assert np.max(np.abs((dec.H(1) - dec.H(3)).toarray())) < 1e-12
+    mapped = stochastize_complex(H)
+    assert np.max(np.abs((mapped.sector_operator("v1") - mapped.sector_operator("v3")).toarray())) < 1e-12
 
 
 def test_z4_column_sums():
     for seed in range(5):
         H = random_instance(2, seed=seed, include_y=True)
-        M = stochastize_complex(H)[0].realize().toarray()
+        M = stochastize_complex(H).realize().toarray()
         assert np.max(np.abs(M.sum(axis=0) - 1.0)) < 1e-12
         assert M.min() >= -1e-12
 
@@ -214,7 +212,7 @@ def test_z4_column_sums():
 # ------------------------------------------------------------------ doubling
 
 def test_doubling_y_quarter():
-    mapped, _ = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
+    mapped = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
     pen = add_penalty_complex(mapped, 0.25)
     vals = np.linalg.eigvalsh(pen.realize().toarray())
     assert abs(vals[0] - vals[1]) < 1e-12
@@ -236,7 +234,7 @@ def test_doubling_zero_hamiltonian():
 
 def test_doubling_conjugate_pair():
     H = random_instance(2, seed=1, include_y=True)
-    pen = add_penalty_complex(stochastize_complex(H)[0], 0.25)
+    pen = add_penalty_complex(stochastize_complex(H), 0.25)
     vals, vecs = np.linalg.eigh(pen.realize().toarray())
     assert abs(vals[0] - vals[1]) < 1e-10
     P = vecs[:, :2] @ vecs[:, :2].conj().T
@@ -246,7 +244,7 @@ def test_doubling_conjugate_pair():
 
 
 def test_penalty_complex_p_range():
-    mapped, _ = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
+    mapped = stochastize_complex(ham(1, [(1.0, {0: "Y"})]))
     with pytest.raises(ContractError):
         add_penalty_complex(mapped, 1.0 / 3.0)
     with pytest.raises(ContractError):

@@ -196,10 +196,6 @@ def test_random_instance_locality_bound():
     assert all(len(factors) <= 2 for _, factors in H.signed_items())
 
 
-def test_random_instance_zero_scale_is_empty():
-    assert random_instance(2, seed=0, scale=0.0).num_terms == 0
-
-
 def test_resource_cap_on_build():
     H = random_instance(15, locality=1)  # one qubit above MAX_QUBITS
     with pytest.raises(ResourceError, match="15 qubits exceed the 14-qubit realization cap"):
@@ -227,8 +223,8 @@ def _kernel_case(name):
         "stoquastic": lambda: stoquastize(H),
         "stochastic": lambda: stochastize(H),
         "stochastic-penalty": lambda: add_ancilla_penalty(stochastize(H), 0.25),
-        "stochastic-z4": lambda: stochastize_complex(Hy)[0],
-        "stochastic-z4-penalty": lambda: add_penalty_complex(stochastize_complex(Hy)[0], 0.2),
+        "stochastic-z4": lambda: stochastize_complex(Hy),
+        "stochastic-z4-penalty": lambda: add_penalty_complex(stochastize_complex(Hy), 0.2),
     }
     if name in mapped:
         m = mapped[name]()

@@ -285,7 +285,7 @@ def test_excited_energy_problem_validates():
 
 def test_sat_instance_validation():
     with pytest.raises(ContractError, match="kind"):
-        SatInstance.from_paulis([proj_one()], epsilon=1.0, kind="classical")
+        SatInstance(n=1, operators=(build_matrix(proj_one()),), epsilon=1.0, kind="classical")
     with pytest.raises(ContractError, match="epsilon"):
         SatInstance.from_paulis([proj_one()], epsilon=0.0)
     with pytest.raises(ContractError, match="operator"):
@@ -339,9 +339,6 @@ def test_reduction_rejects_non_projector():
     )
     with pytest.raises(ContractError, match="projector"):
         reduce_qsat(inst)
-    sat = SatInstance.from_paulis([proj_one()], epsilon=1.0)
-    with pytest.raises(ContractError, match="p must"):
-        reduce_qsat(sat, p=0.4)
 
 
 def test_reduction_preserves_verdicts_on_toy_instances():

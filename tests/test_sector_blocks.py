@@ -48,8 +48,8 @@ MAPS = {
     "stoquastic": (True, stoquastize),
     "stochastic": (True, stochastize),
     "stochastic-penalty": (True, lambda H: add_ancilla_penalty(stochastize(H), 0.25)),
-    "complex": (False, lambda H: stochastize_complex(H)[0]),
-    "complex-penalty": (False, lambda H: add_penalty_complex(stochastize_complex(H)[0], 0.2)),
+    "complex": (False, stochastize_complex),
+    "complex-penalty": (False, lambda H: add_penalty_complex(stochastize_complex(H), 0.2)),
 }
 
 

@@ -175,7 +175,7 @@ def test_perron_suite(seed):
 
 def test_sector_spectrum_union_covers_everything():
     H = random_instance(2, seed=11, include_y=True)
-    mapped, _ = stochastize_complex(H)
+    mapped = stochastize_complex(H)
     pieces = [np.real(sector_spectrum(mapped, lab)) for lab in mapped.sector_labels]
     union = np.sort(np.concatenate(pieces))
     full = eig_dense(mapped.realize(), compute_vectors=False).eigenvalues
