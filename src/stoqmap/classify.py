@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import DENSE_CAP, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian, _scatter_sum
+from .pauli import (DENSE_CAP, DENSE_DIFF_DIM, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian,
+                    _max_abs, _scatter_sum, _skew)
 
 DEFAULT_TOL = 1e-10
 
@@ -56,8 +57,11 @@ def _square_csr(M) -> sp.csr_matrix:
     return A
 
 
-def _max_abs(A: sp.spmatrix) -> float:
-    return float(np.max(np.abs(A.data))) if A.nnz else 0.0
+def _square_residual(A: sp.csr_matrix) -> float:
+    """max|A @ A - A| of a canonical CSR A. The product stays scipy's: a dense (BLAS) one rounds differently."""
+    if A.shape[0] > DENSE_DIFF_DIM:
+        return _max_abs(A @ A - A)
+    return float(np.abs((A @ A).toarray() - A.toarray()).max(initial=0.0))
 
 
 def _check_dense_cap(dim: int, dense_cap: int) -> None:
@@ -150,9 +154,9 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
     complex_entries = np.iscomplexobj(data)
     real_entries = not complex_entries or data.size == 0 or float(np.max(np.abs(data.imag))) <= tol
 
-    skew = _max_abs(A - A.getH())
+    skew = _skew(A)
     hermitian = skew <= tol
-    symmetric = (_max_abs(A - A.T) if complex_entries else skew) <= tol  # A.T is A^dagger for a real A
+    symmetric = (_skew(A, conj=False) if complex_entries else skew) <= tol  # A.T is A^dagger for a real A
     nonneg = real_entries and (data.size == 0 or float(data.real.min()) >= -tol)
 
     off = data[rows != cols]
@@ -168,7 +172,7 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
     doubly_stochastic = column_stochastic and unit_sums(rows)
     permutation = doubly_stochastic and bool(np.all((np.abs(data) <= tol) | (np.abs(data - 1.0) <= tol)))
 
-    projector = hermitian and _diagonal_may_square_to_itself(A, rows, tol, skew) and _max_abs(A @ A - A) <= tol
+    projector = hermitian and _diagonal_may_square_to_itself(A, rows, tol, skew) and _square_residual(A) <= tol
     if hermitian and lowest is None:
         lowest = float(A.diagonal().real.min())
         if lowest >= -tol:

@@ -19,11 +19,11 @@ import scipy.sparse as sp
 
 from . import io as fmt
 from .adiabatic import ff_schedule_path, evolve, measure_and_decode, sector_leakage
-from .classify import _as_csr, _max_abs, classify
+from .classify import _as_csr, classify
 from .clock import block_matrix, build_ff, clock_state_index, gap_formulas, gap_scan, history_state
 from .errors import ContractError, ConvergenceError, ResourceError
 from .mapping import add_ancilla_penalty, add_penalty_complex, stochastize, stochastize_complex, stoquastize
-from .pauli import DENSE_CAP, MAX_QUBITS, build_matrix
+from .pauli import DENSE_CAP, MAX_QUBITS, _max_abs, build_matrix
 from .protocols import ExcitedEnergyProblem, _verdict, decide_sat, reduce_qsat
 from .spectra import _flags_and_spectrum, eig_dense, spectral_report
 

@@ -88,6 +88,7 @@ def json_to_matrix(rows, where: str) -> np.ndarray:
     else:
         _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
                  where, "matrix must be a nonempty list of nonempty rows")
+        _check_dense_cap(max(len(rows), len(rows[0])), DENSE_CAP)  # before flattening anything
         _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
         try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
             cells = [*chain.from_iterable(rows)]
@@ -266,6 +267,7 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
             paulis.append(H)
             matrices.append(None)
         elif "matrix" in od:
+            _check_dense_cap(1 << n, DENSE_CAP)  # before converting: a file matrix is read densely
             M = json_to_matrix(od["matrix"], ctx)
             _require(M.shape == (1 << n, 1 << n), ctx, f"matrix shape {M.shape} mismatches n={n}")
             matrices.append(sp.csr_matrix(M))

@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import _max_abs, _min_eigenvalue
+from .classify import _min_eigenvalue
 from .errors import ContractError
 from .pauli import (
-    DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _scatter_sum, _sum_terms, _term_phases,
-    build_matrix, remap_qubits,
+    DENSE_CAP, FF_PSD_FLOOR, LocalHamiltonian, _check_qubits, _csr_entries, _max_abs, _scatter_sum, _sum_terms,
+    _term_phases, build_matrix, remap_qubits,
 )
 from .spectra import eig_dense
 

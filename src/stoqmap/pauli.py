@@ -21,6 +21,7 @@ from .errors import ContractError, ResourceError
 # and DENSE_CAP bounds every dense matrix and every block of a stacked solve (12 qubits' worth).
 MAX_QUBITS = 14
 DENSE_CAP = 4096
+DENSE_DIFF_DIM = 128  # _skew and classify._square_residual subtract dense copies up to this dimension
 # Largest entry of A - A^dagger, relative to max(1, max|A|), that still counts as Hermitian.
 HERMITIAN_TOL = 1e-10
 # kernel_projector_complement accepts a lowest eigenvalue down to -max(tol, KERNEL_PSD_FLOOR).
@@ -42,7 +43,7 @@ _PHASE = np.array([1, 1j, -1, -1j])
 
 
 def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
-    """The package's one Hermiticity test, for a sparse A or a dense A or stack of equal blocks.
+    """The package's one Hermiticity test, for a canonical CSR A or a dense A or stack of equal blocks.
 
     max|A - A^dagger| may be at most tol times max(1, max|A|). A dense A
     is read over its last two axes, and each matrix of a stack is held
@@ -54,10 +55,22 @@ def _is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
         return False
     tol = max(tol, HERMITIAN_TOL)
     if sp.issparse(A):
-        return abs(A - A.conj().T).max() <= tol * max(1.0, abs(A).max())
+        return _skew(A) <= tol * max(1.0, _max_abs(A))
     adjoint = np.swapaxes(A.conj(), -1, -2)
     axes = (-2, -1)
     return bool(np.all(abs(A - adjoint).max(axis=axes) <= tol * np.maximum(1.0, abs(A).max(axis=axes))))
+
+
+def _max_abs(A: sp.spmatrix) -> float:
+    return float(np.max(np.abs(A.data))) if A.nnz else 0.0
+
+
+def _skew(A: sp.csr_matrix, conj: bool = True) -> float:
+    """max|A - A^dagger|, or max|A - A^T| when not conj, as scipy gives it. A must be canonical (classify._as_csr)."""
+    if A.shape[0] > DENSE_DIFF_DIM:
+        return _max_abs(A - (A.getH() if conj else A.T))
+    D = A.toarray()
+    return float(np.abs(D - (D.conj().T if conj else D.T)).max(initial=0.0))
 
 
 def _check_qubits(qubits: int) -> None:

@@ -12,6 +12,8 @@ from stoqmap import (
     kernel_projector_complement,
     stochastize,
 )
+from stoqmap.classify import _square_residual
+from stoqmap.pauli import DENSE_DIFF_DIM, _max_abs, _skew
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -240,3 +242,39 @@ def test_duplicates_with_a_negative_part_keep_a_matrix_nonnegative():
     M = sp.csr_matrix((np.array([-0.5, 1.5, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
     assert classify(M).nonnegative_entries
     assert classify(M) == classify(np.eye(2))
+
+
+# ------------------------------------------------- dense differences against scipy's
+
+
+@st.composite
+def canonical_csr(draw):
+    """A canonical CSR matrix: empty, 1 x 1 or small, or on either side of DENSE_DIFF_DIM, with drawn entries
+    (some one-sided, some mirrored as a Hermitian pair nudged by up to 1e-12), real or complex."""
+    d = draw(st.one_of(st.integers(0, 6), st.sampled_from([DENSE_DIFF_DIM - 1, DENSE_DIFF_DIM, DENSE_DIFF_DIM + 1])))
+    complex_entries = draw(st.booleans())
+    number = st.floats(-1e3, 1e3, allow_subnormal=False)
+    entries = draw(st.lists(st.tuples(st.integers(0, max(d - 1, 0)), st.integers(0, max(d - 1, 0)), number,
+                                      number if complex_entries else st.just(0.0),
+                                      st.sampled_from([None, 0.0, 1e-12])), max_size=12 if d else 0))
+    stored = []
+    for i, j, re, im, mirror in entries:
+        v = complex(re, im) if complex_entries else re
+        stored += [(i, j, v)] if mirror is None else [(i, j, v), (j, i, np.conj(v) + mirror)]
+    rows, cols, vals = zip(*stored) if stored else ((), (), ())
+    A = sp.csr_matrix((np.array(vals, dtype=complex if complex_entries else float), (rows, cols)), shape=(d, d))
+    assert A.has_canonical_format
+    return A
+
+
+def same_bits(x, y):
+    return type(x) is type(y) is float and np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@seed(20090534)
+@settings(max_examples=400, deadline=None, database=None)
+@given(canonical_csr())
+def test_dense_differences_give_scipys_values_bit_for_bit(A):
+    assert same_bits(_skew(A), _max_abs(A - A.getH()))
+    assert same_bits(_skew(A, conj=False), _max_abs(A - A.T))
+    assert same_bits(_square_residual(A), _max_abs(A @ A - A))

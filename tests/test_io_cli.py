@@ -497,6 +497,23 @@ def test_sat_reduce_refuses_a_register_above_the_dense_cap_before_allocating(tmp
         matrix_to_json(sp.identity(8192, format="csr"))
 
 
+@pytest.mark.parametrize("command", ["decide", "reduce"])
+def test_sat_files_with_a_matrix_above_the_dense_cap_are_refused_before_conversion(tmp_path, capsys, command):
+    """n = 13 asks for 8192 x 8192 matrices: a 1 x 1 one is refused for the register's size, not for its shape."""
+    path = tmp_path / "sat.json"
+    path.write_text(json.dumps({"version": "1", "n": 13, "epsilon": 1.0, "operators": [{"matrix": [[[1.0, 0.0]]]}]}))
+    assert run_command(["sat", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension 8192 exceeds the dense cap 4096" in err and "shape" not in err
+
+
+@pytest.mark.parametrize("rows", [[[["x"]]] * 4097, [[["x"]] * 4097]], ids=["rows", "columns"])
+def test_json_to_matrix_refuses_a_matrix_above_the_dense_cap_before_flattening(rows):
+    """Flattened, these cells would be refused as non-numbers; the cap refuses them first."""
+    with pytest.raises(ResourceError, match="^dimension 4097 exceeds the dense cap 4096$"):
+        json_to_matrix(rows, "m")
+
+
 def test_loading_the_reduced_clock_instance_runs_no_collection(tmp_path):
     """Its 24576 parsed [re, im] lists hold no cycles, so a load pauses the cyclic collector over them."""
     _, out = reduce_clock_instance(tmp_path)

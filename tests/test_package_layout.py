@@ -9,9 +9,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stoqmap"
-SINGLE = ("DENSE_CAP", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR", "MAX_QUBITS",
-          "PAULI_DROP_TOL", "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_eigsh", "_factor_masks", "_is_hermitian",
-          "_scatter_sum", "_term_phases")
+SINGLE = ("DENSE_CAP", "DENSE_DIFF_DIM", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR",
+          "MAX_QUBITS", "PAULI_DROP_TOL", "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_eigsh", "_factor_masks",
+          "_is_hermitian", "_max_abs", "_scatter_sum", "_skew", "_term_phases")
 # Each LAPACK or ARPACK eigensolver may be named only inside its one gate (module.function).
 SOLVER_HOMES = {
     "eigsh": "classify._eigsh",
