@@ -39,13 +39,20 @@ def _dense_cap(text: str) -> int:
     return cap
 
 
+def _tol(text: str) -> float:
+    """--tol: a finite float of at least 0 (argparse names the value when float() refuses it)."""
+    if not 0.0 <= float(text) < np.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return float(text)
+
+
 def _out_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=_tol, default=1e-10)
     parser.add_argument("--dense-cap", type=_dense_cap, default=DENSE_CAP)
     _out_flag(parser)
 

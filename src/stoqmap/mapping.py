@@ -109,8 +109,7 @@ class MappedHamiltonian:
         flat = (np.arange(m)[:, None] * d * d + i * d + j).ravel()
         stack = _scatter_sum(flat, w.ravel(), m * d * d)
         idx = np.arange(self.dim)
-        S = sp.csr_matrix((np.ones(self.dim), (idx - idx % m + (idx % m - 1) % m, idx)),
-                          shape=(self.dim, self.dim))
+        S = _sum_terms(self.dim, [(1.0, idx - idx % m + (idx % m - 1) % m, idx, 1.0)])
         return stack.reshape(m, d, d), _max_abs(realized @ S - S @ realized)
 
     def sector_operator(self, sector: str, realized: sp.csr_matrix | None = None) -> sp.csr_matrix:

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ContractError, ResourceError
 
@@ -84,18 +85,26 @@ def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
     """Sum of weighted sparse pieces as one dim x dim CSR matrix.
 
     Each piece is (weight, rows, cols, vals), arrays that broadcast
-    together. All pieces are flattened and concatenated once, in order;
-    duplicate positions are summed and entries that cancel to zero are
-    dropped. The result is real unless some piece is complex.
+    together. All pieces are flattened and concatenated once, in order,
+    and summed to the bit as sp.csr_matrix((vals, (rows, cols))) sums
+    them, by its own kernels; entries that cancel to zero are dropped.
+    The result is real unless some piece is complex (no pieces: real zero).
     """
     _check_qubits((int(dim) - 1).bit_length())
-    pieces = [np.broadcast_arrays(r, c, w * v) for w, r, c, v in pieces]
-    if not pieces:
-        return sp.csr_matrix((dim, dim))
-    rows, cols, vals = (np.concatenate([p[i].ravel() for p in pieces]) for i in range(3))
-    out = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    out.eliminate_zeros()
-    return out
+    pieces = [np.broadcast_arrays(r, c, w * v) for w, r, c, v in pieces] or [np.broadcast_arrays(0, 0, np.zeros(0))]
+    index = np.concatenate([p[i].ravel() for i in (0, 1) for p in pieces])  # all rows, then all cols
+    vals = np.concatenate([p[2].ravel() for p in pieces])  # allocated before the indices, it raised peak RSS 0.9 MB
+    if index.min(initial=0) < 0 or index.max(initial=0) >= dim:  # the kernels check no bounds
+        raise ContractError(f"an entry index lies outside the {dim} x {dim} matrix")
+    rows, cols = index.astype(sp.get_index_dtype(maxval=max(vals.size, dim)), copy=False).reshape(2, -1)
+    indptr, indices, data = np.empty(dim + 1, rows.dtype), np.empty_like(cols), np.empty_like(vals)
+    _sparsetools.coo_tocsr(dim, dim, vals.size, rows, cols, vals, indptr, indices, data)  # scipy's steps in order
+    if not _sparsetools.csr_has_canonical_format(dim, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(dim, indptr, indices):
+            _sparsetools.csr_sort_indices(dim, indptr, indices, data)  # std::sort, unstable beyond 16 entries
+        _sparsetools.csr_sum_duplicates(dim, dim, indptr, indices, data)
+    _sparsetools.csr_eliminate_zeros(dim, dim, indptr, indices, data)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))  # which prunes by scipy's rule
 
 
 def _csr_entries(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

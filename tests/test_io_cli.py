@@ -863,6 +863,22 @@ def test_cli_usage_and_io_errors(tmp_path, capsys):
         assert f"error: {utf16}: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "abc"])
+def test_cli_refuses_a_negative_or_non_finite_tol(tmp_path, capsys, tol):
+    """float() reads all five, and -1 or nan would fail every check while inf would pass every one."""
+    hamiltonian, instance = tmp_path / "h.json", tmp_path / "sat.json"
+    save_hamiltonian(random_instance(2, seed=1), str(hamiltonian))
+    projector = LocalHamiltonian.from_signed(1, [(0.5, {}), (0.5, {0: "Z"})])
+    save_sat_instance(SatInstance.from_paulis([projector], epsilon=0.1), str(instance))
+    for argv in (["ham", "check", str(hamiltonian)], ["ham", "spectrum", str(hamiltonian)],
+                 ["sat", "decide", str(instance)]):
+        assert run_command(argv + [f"--tol={tol}", "--out", str(tmp_path / "r.json")]) == 2  # = keeps -inf a value
+        err = capsys.readouterr().err
+        assert "argument --tol: " in err and repr(tol) in err
+    assert not (tmp_path / "r.json").exists()
+    assert run_command(["ham", "check", str(hamiltonian), "--tol", "0", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys, monkeypatch):
     h = tmp_path / "h.json"
     save_hamiltonian(random_instance(4, seed=1), str(h))

@@ -1,6 +1,7 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
 every dense eigensolve goes through one function, and so does every
-iterative eigensolve, every JSON write and every canonicalization of a sparse matrix.
+iterative eigensolve, every JSON write, every canonicalization of a sparse matrix
+and every sum of sparse terms.
 Pauli strings are realized and decomposed from the packed form, never one
 Kronecker product at a time, and local matrices are embedded from their
 dense nonzeros, never through a scipy COO object per term."""
@@ -24,6 +25,10 @@ SOLVER_HOMES = {
 WRITER_HOMES = {"dump": "io.report_to_json", "dumps": "io.report_to_json"}
 # Duplicate sparse entries are summed only where every matrix is brought into canonical form.
 CANONICAL_HOMES = {"sum_duplicates": "classify._as_csr"}
+# scipy's compiled COO -> CSR kernels run only in the one term sum, and only pauli imports them.
+KERNEL_HOMES = {name: "pauli._sum_terms" for name in (
+    "coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices", "csr_sum_duplicates",
+    "csr_eliminate_zeros")} | {"_sparsetools": "pauli"}
 # Per-term or per-word loops the packed form replaced: (module, attribute) never named in these files.
 PACKED_FILES = ("pauli.py", "mapping.py")
 BANNED = {("np", "kron"), ("numpy", "kron"), ("itertools", "product")}
@@ -69,6 +74,9 @@ def _uses(node, owner, names, out):
             out.append((owner, child.attr))
         elif isinstance(child, ast.ImportFrom):
             out += [(owner, a.name) for a in child.names if a.name in names]
+            out += [(owner, part) for part in (child.module or "").split(".") if part in names]
+        elif isinstance(child, ast.Import):
+            out += [(owner, part) for a in child.names for part in a.name.split(".") if part in names]
         _uses(child, inner, names, out)
 
 
@@ -91,6 +99,28 @@ def test_json_written_only_by_the_one_writer():
 
 def test_sparse_matrices_canonicalized_only_by_as_csr():
     _check_homes(CANONICAL_HOMES)
+
+
+def test_sparse_kernels_run_only_in_the_term_sum():
+    _check_homes(KERNEL_HOMES)
+
+
+def test_term_sum_kernels_are_the_ones_scipys_constructor_calls():
+    """A scipy release that moves or replaces one of them fails here, not in a changed sum."""
+    from scipy.sparse import _compressed, _coo, _sparsetools
+
+    assert _sparsetools.coo_tocsr is _coo.coo_tocsr
+    for name in KERNEL_HOMES.keys() - {"coo_tocsr", "_sparsetools"}:
+        assert getattr(_sparsetools, name) is getattr(_compressed, name), name
+
+
+def test_no_coo_triplets_handed_to_a_sparse_constructor_in_src():
+    """No (vals, (rows, cols)) argument: every such sum goes through pauli._sum_terms."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Tuple)
+             and len(node.args[0].elts) == 2 and isinstance(node.args[0].elts[1], ast.Tuple)]
+    assert not found, found
 
 
 def test_pauli_and_mapping_use_no_kron_or_product_loops():

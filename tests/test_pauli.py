@@ -1,9 +1,14 @@
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.sparse import _compressed, _coo, _sparsetools
 
 from stoqmap import (
     ContractError,
@@ -26,7 +31,7 @@ from stoqmap import (
     stochastize_complex,
     stoquastize,
 )
-from stoqmap.pauli import _embed_entries
+from stoqmap.pauli import _embed_entries, _sum_terms
 
 from oracles import mapped_terms
 
@@ -251,3 +256,122 @@ def test_kernel_callers_match_dense_sum_of_parts(name):
     want = sum(w * (G.toarray() if sp.issparse(G) else G) for w, G in parts)
     assert sp.isspmatrix_csr(got)
     assert np.max(np.abs(got.toarray() - want)) <= 1e-12
+
+
+# ------------------------------------------------- term sums against scipy's COO constructor
+
+KERNELS = ("coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices", "csr_sort_indices",
+           "csr_sum_duplicates", "csr_eliminate_zeros")
+
+
+def _logged(log, name, kernel):
+    def call(*args):
+        log.append(name)
+        return kernel(*args)
+    return call
+
+
+@contextlib.contextmanager
+def kernel_log(*owners):
+    """The names of the compiled kernels called through the owners' bindings, in call order."""
+    log = []
+    with contextlib.ExitStack() as stack:
+        for owner in owners:
+            for name in KERNELS:
+                if hasattr(owner, name):
+                    stack.enter_context(mock.patch.object(owner, name, _logged(log, name, getattr(owner, name))))
+        yield log
+
+
+def scipy_sum(dim, pieces):
+    """The oracle: the concatenated triplets through sp.csr_matrix's COO constructor, then eliminate_zeros()."""
+    triplets = [np.broadcast_arrays(r, c, w * v) for w, r, c, v in pieces]
+    rows, cols, vals = ((np.concatenate([t[i].ravel() for t in triplets]) for i in range(3)) if triplets
+                        else (np.zeros(0, int), np.zeros(0, int), np.zeros(0)))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    A.eliminate_zeros()
+    return A
+
+
+# exact small values (zeros of both signs among them) and drawn floats, whose sums depend on their order
+NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1e3, 1e3, allow_subnormal=False))
+PIECE_KINDS = ("scattered", "long row", "sorted", "canonical", "broadcast", "empty")
+
+
+@st.composite
+def term_pieces(draw):
+    """(dim, pieces) as _sum_terms takes them, covering each branch of scipy's COO -> CSR steps:
+    rows of more than 16 entries with repeated columns (std::sort's introsort), rows already sorted
+    but holding duplicates (no sort, then a sum) and canonical input (neither), exact cancellations
+    (a piece followed by its negation) and explicit zeros, zero-length pieces, an empty piece list,
+    dim 1, and broadcast weights alpha[:, None] over 2-D rows and 1-D cols."""
+    dim = draw(st.sampled_from([1, 2, 3, 7, 16, 40]))
+    complex_values = draw(st.booleans())
+    index = st.integers(0, dim - 1)
+
+    def values(shape):
+        count = int(np.prod(shape))
+        v = np.array(draw(st.lists(NUMBER, min_size=count, max_size=count)), dtype=float).reshape(shape)
+        if complex_values:
+            v = v + 1j * np.array(draw(st.lists(NUMBER, min_size=count, max_size=count))).reshape(shape)
+        return v
+
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(PIECE_KINDS), max_size=3)):
+        weight = draw(st.sampled_from([1.0, -1.0, 0.5, 3.0]))
+        if kind == "broadcast":
+            terms, width = draw(st.integers(1, 3)), draw(st.integers(1, 2 * dim))
+            rows = np.array(draw(st.lists(index, min_size=terms * width, max_size=terms * width))).reshape(terms, width)
+            cols = np.array(draw(st.lists(index, min_size=width, max_size=width)), dtype=np.int32)
+            weight = np.abs(values((terms,)).real)[:, None]
+            piece = (weight, rows, cols, draw(st.sampled_from([1.0, None])) or values((terms, width)))
+        elif kind == "empty":
+            piece = (weight, np.zeros(0, int), np.zeros(0, int), values((0,)))
+        else:
+            count = draw(st.integers(17, 48) if kind in ("long row", "sorted") else st.integers(0, 24))
+            spread = draw(st.integers(0, dim - 1))  # columns (or rows and columns) from a few values: repeats
+            narrow = st.integers(0, spread)
+            if kind == "canonical":
+                cells = draw(st.sets(st.tuples(index, index), max_size=count))
+                rows, cols = np.array(sorted(cells), dtype=int).reshape(-1, 2).T
+            else:
+                rows = np.array(draw(st.lists(st.just(draw(index)) if kind == "long row" else
+                                              narrow if kind == "sorted" else index,
+                                              min_size=count, max_size=count)), dtype=int)
+                cols = np.array(draw(st.lists(narrow, min_size=count, max_size=count)), dtype=int)
+                if kind == "sorted":
+                    rows, cols = rows[np.lexsort((cols, rows))], cols[np.lexsort((cols, rows))]
+            piece = (weight, rows, cols, values(rows.shape))
+        pieces.append(piece)
+        if draw(st.booleans()) and kind != "sorted":
+            pieces.append((-piece[0], *piece[1:]))  # cancels exactly, entry by entry
+    return dim, pieces
+
+
+@seed(20090534)
+@settings(max_examples=300, deadline=None, database=None)
+@given(term_pieces())
+def test_term_sums_match_scipys_coo_constructor_bit_for_bit(case):
+    """_sum_terms calls scipy's kernels in scipy's order, so its sums keep every bit and dtype."""
+    dim, pieces = case
+    with kernel_log(_compressed, _coo) as theirs:
+        want = scipy_sum(dim, pieces)
+    with kernel_log(_sparsetools) as ours:
+        got = _sum_terms(dim, pieces)
+    assert ours == theirs
+    assert sp.isspmatrix_csr(got) and got.shape == want.shape == (dim, dim)
+    for name in ("indptr", "indices", "data"):
+        mine, oracle = getattr(got, name), getattr(want, name)
+        assert mine.dtype == oracle.dtype and mine.tobytes() == oracle.tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1 << 32])
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_term_sums_refuse_an_index_outside_the_matrix_before_any_kernel_runs(axis, bad):
+    """The kernels check no bounds (and 2^32 would wrap to 0 as an int32), so _sum_terms checks first."""
+    good = np.array([0, 1, 3])
+    entries = {"rows": good, "cols": good[::-1], axis: np.array([0, bad, 3])}
+    with kernel_log(_sparsetools) as calls, pytest.raises(ContractError, match="outside the 4 x 4 matrix"):
+        _sum_terms(4, [(1.0, np.arange(2), np.arange(2), np.ones(2)),
+                       (2.0, entries["rows"], entries["cols"], np.ones(3))])
+    assert calls == []
