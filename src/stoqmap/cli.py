@@ -46,6 +46,13 @@ def _tol(text: str) -> float:
     return float(text)
 
 
+def _finite(text: str) -> float:
+    """--a, --b: a finite float (argparse names the value when float() refuses it)."""
+    if not abs(float(text)) < np.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return float(text)
+
+
 def _out_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -110,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = proto_sub.add_parser("excited")
     p.add_argument("hamiltonian")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     _common_flags(p)
 
     sat = sub.add_parser("sat", help="satisfiability instances")

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from contextlib import suppress
 from itertools import chain
 from typing import Any
 
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 
 from .classify import _check_dense_cap
 from .clock import GATE_NAMES, Gate, QuantumCircuit
-from .errors import ContractError
+from .errors import ContractError, ResourceError
 from .pauli import DENSE_CAP, LocalHamiltonian, _check_qubits, build_matrix
 from .protocols import SatInstance
 from .spectra import SpectralReport
@@ -35,11 +36,11 @@ def _require(cond: bool, where: str, msg: str):
         raise ContractError(f"{where}: {msg}")
 
 
-def _read_json(path: str):
+def _read_json(path: str, object_hook=None):
     """Parsed contents of a JSON file, which must be UTF-8 text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
@@ -48,12 +49,12 @@ def _read_json(path: str):
         raise ContractError(f"{path}: {exc}") from None
 
 
-def _load(path: str, from_data):
+def _load(path: str, from_data, object_hook=None):
     """from_data of the file at path, with the cyclic collector paused: parsed JSON holds no cycles to find."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return from_data(_read_json(path), where=path)
+        return from_data(_read_json(path, object_hook), where=path)
     finally:
         if enabled:
             gc.enable()
@@ -67,7 +68,7 @@ def _check_version(data: dict, where: str):
 
 class _DenseMatrix:
     """A dense matrix as pairs, the (rows, cols, 2) float array of its [re, im] pairs, which report_to_json writes
-    and json_to_matrix reads back as from a file. Only matrix_to_json makes one; nothing edits pairs in place."""
+    and json_to_matrix reads back as from a file. matrix_to_json and _dense_matrices make them; none is edited."""
 
     def __init__(self, pairs: np.ndarray):
         self.pairs = pairs
@@ -82,22 +83,34 @@ def matrix_to_json(M) -> _DenseMatrix:
     return _DenseMatrix(np.stack((dense.real, dense.imag), axis=-1))
 
 
+def _file_pairs(rows, where: str) -> np.ndarray:
+    """The (rows, cols, 2) float array of a file matrix's [re, im] pairs; null entries read as nan."""
+    _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
+             where, "matrix must be a nonempty list of nonempty rows")
+    _check_dense_cap(max(len(rows), len(rows[0])), DENSE_CAP)  # before flattening anything
+    _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
+    try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
+        cells = [*chain.from_iterable(rows)]
+        entries = [*chain.from_iterable(cells)]
+        numbers = {*map(len, cells)} == {2} and {int, float, type(None)}.issuperset(map(type, entries))
+        pairs = np.array(entries, dtype=float).reshape(len(rows), -1, 2) if numbers else None
+    except (TypeError, OverflowError):  # an entry that is no list, an integer too large for a float
+        pairs = None
+    _require(pairs is not None, where, "complex values are [re, im] pairs of numbers")
+    return pairs
+
+
+def _dense_matrices(obj: dict) -> dict:
+    """json.load's object_hook: a "matrix" list that _file_pairs accepts becomes a _DenseMatrix as its object
+    closes, so its lists are freed during the parse; one it refuses stays, for from_data to refuse in order."""
+    if isinstance(obj.get("matrix"), list):
+        with suppress(ContractError, ResourceError):
+            obj["matrix"] = _DenseMatrix(_file_pairs(obj["matrix"], "matrix"))
+    return obj
+
+
 def json_to_matrix(rows, where: str) -> np.ndarray:
-    if isinstance(rows, _DenseMatrix):  # held in memory: its pairs are the numbers the file would hold
-        pairs = rows.pairs.copy()
-    else:
-        _require(isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows),
-                 where, "matrix must be a nonempty list of nonempty rows")
-        _check_dense_cap(max(len(rows), len(rows[0])), DENSE_CAP)  # before flattening anything
-        _require(len({len(row) for row in rows}) == 1, where, "matrix rows differ in length")
-        try:  # flat, so each entry's type is checked: numpy alone would read "1.5" and true as numbers
-            cells = [*chain.from_iterable(rows)]
-            entries = [*chain.from_iterable(cells)]
-            numbers = {*map(len, cells)} == {2} and {int, float, type(None)}.issuperset(map(type, entries))
-            pairs = np.array(entries, dtype=float).reshape(len(rows), -1, 2) if numbers else None
-        except (TypeError, OverflowError):  # an entry that is no list, an integer too large for a float
-            pairs = None
-        _require(pairs is not None, where, "complex values are [re, im] pairs of numbers")
+    pairs = rows.pairs.copy() if isinstance(rows, _DenseMatrix) else _file_pairs(rows, where)
     _require(bool(np.all(np.isfinite(pairs))), where, "matrix has non-finite or null entries")
     return pairs.view(complex)[..., 0] if pairs[..., 1].any() else pairs[..., 0]
 
@@ -213,7 +226,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
 
 
 def load_circuit(path: str) -> QuantumCircuit:
-    return _load(path, circuit_from_data)
+    return _load(path, circuit_from_data, _dense_matrices)
 
 
 def save_circuit(circuit: QuantumCircuit, path: str) -> None:
@@ -286,7 +299,7 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
 
 
 def load_sat_instance(path: str) -> SatInstance:
-    return _load(path, sat_instance_from_data)
+    return _load(path, sat_instance_from_data, _dense_matrices)
 
 
 def save_sat_instance(instance: SatInstance, path: str) -> None:

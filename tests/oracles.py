@@ -1,5 +1,7 @@
 """Reference constructions the tests compare the library against; the library itself never reads them."""
 
+import json
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -13,6 +15,13 @@ def sample(path, u):
     piece = path.pieces[int(path.piece_at(u))]
     return sp.csr_matrix((piece.data([u])[0], piece.pattern.indices.copy(), piece.pattern.indptr.copy()),
                          shape=piece.pattern.shape)
+
+
+def load_from_lists(path, from_data):
+    """from_data of the file at path parsed by plain json.load, every matrix still its lists: what the loaders,
+    which convert each matrix as its object closes, must return or refuse."""
+    with open(path, encoding="utf-8") as fh:
+        return from_data(json.load(fh), where=str(path))
 
 
 def mapped_terms(mapped):

@@ -59,6 +59,8 @@ from stoqmap import (
 )
 from stoqmap.io import GAP_SCAN_COLUMNS, json_to_matrix, matrix_to_json
 
+from oracles import load_from_lists
+
 
 def ham(n, items):
     return LocalHamiltonian.from_signed(n, items)
@@ -527,6 +529,109 @@ def test_loading_the_reduced_clock_instance_runs_no_collection(tmp_path):
     assert reduced.n == 6 and collections == []
 
 
+def test_loading_the_reduced_clock_instance_peaks_near_twice_its_size(tmp_path):
+    """Each matrix becomes an array as its object closes, so only the file's bytes and text are held at once."""
+    _, out = reduce_clock_instance(tmp_path)
+    tracemalloc.start()
+    try:
+        reduced = load_sat_instance(str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced.n == 6 and peak < 2.25 * out.stat().st_size, (peak, out.stat().st_size)
+
+
+# Entries of generated file matrices: numbers the loaders read (signed zeros and subnormals among them) and the
+# entries they refuse: a string, booleans, null, an integer too large for a float and non-finite floats.
+LOADABLE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0, 1, -1, 0.5]), finite_floats,
+                     st.integers(-(2**60), 2**60))
+REFUSED = st.sampled_from(["1.5", True, False, None, 10**400, float("nan"), float("-inf")])
+
+
+@st.composite
+def file_matrices(draw, rows, cols):
+    """A matrix as a file holds it, drawn rows x cols of LOADABLE entries and then maybe broken in one way."""
+    matrix = draw(st.lists(st.lists(st.lists(LOADABLE, min_size=2, max_size=2), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    how = draw(st.sampled_from(["valid"] * 4 + ["entry", "ragged", "three", "empty row", "tall", "shape"]))
+    if how == "entry":
+        matrix[r][c][draw(st.integers(0, 1))] = draw(REFUSED)
+    elif how == "ragged":
+        matrix[r].append([0.0, 0.0])
+    elif how == "three":
+        matrix[r][c].append(0.0)
+    elif how == "empty row":
+        matrix[r] = []
+    elif how == "tall":  # above the dense cap, refused before it is flattened
+        matrix = [[[0.0, 0.0]]] * 4097
+    elif how == "shape":
+        matrix = matrix[:-1] or [[[1.0, 0.0]] * (cols + 1)]
+    return matrix
+
+
+@st.composite
+def sat_files(draw):
+    n = draw(st.sampled_from([1, 1, 2, 13]))  # 13 is above the cap, with 1 x 1 matrices
+    side = 1 if n == 13 else 1 << n
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = {"matrix": draw(file_matrices(side, side))}
+        how = draw(st.sampled_from(["matrix", "matrix", "terms", "both"]))
+        if how != "matrix":
+            op["terms"] = [{"coeff": 0.5, "paulis": [{"qubit": 0, "op": "Z"}]}]
+        if how == "terms":
+            del op["matrix"]
+        ops.append(op)
+    return {"version": "1", "n": n, "epsilon": 0.1, "kind": "stochastic", "operators": ops}
+
+
+@st.composite
+def circuit_files(draw):
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 2))
+        # a phased permutation, a unitary whose zeros may be -0.0 or subnormal; or any matrix, refused as not unitary
+        U = np.diag(np.exp(1j * np.array(draw(st.lists(st.sampled_from([0.0, np.pi / 2, np.pi, 1.0]),
+                                                       min_size=1 << k, max_size=1 << k)))))
+        U = U[draw(st.permutations(range(1 << k)))]
+        tiny = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), min_size=2 << 2 * k, max_size=2 << 2 * k))
+        pairs = np.stack((U.real, U.imag), axis=-1)
+        pairs[pairs == 0] = tiny[:int((pairs == 0).sum())]
+        matrix = draw(st.one_of(st.just(pairs.tolist()), file_matrices(1 << k, 1 << k)))
+        gates.append({"name": draw(st.sampled_from(["CUSTOM", "CUSTOM", "ROT"])), "qubits": list(range(k)),
+                      "angle": 0.3, "matrix": matrix})  # a ROT gate holding a matrix ignores it
+    return {"version": "1", "n": 2, "gates": gates}
+
+
+def outcome(load, path):
+    """What a load gives: its operators' or gates' bits, or its error's type and message."""
+    try:
+        got = load(path)
+    except (ContractError, ResourceError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, QuantumCircuit):
+        return [(g.name, g.qubits, g.angle, None if g.matrix is None else (g.matrix.dtype, g.matrix.tobytes()))
+                for g in got.gates]
+    return got.n, got.epsilon, got.kind, got.N_max, [
+        (op.indptr.dtype, op.indptr.tobytes(), op.indices.dtype, op.indices.tobytes(), op.data.dtype,
+         op.data.tobytes()) for op in got.operators]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")  # huge entries' unitarity check
+@seed(20090528)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(sat_files(), circuit_files()))
+def test_loaders_match_from_data_of_the_parsed_lists(tmp_path_factory, data):
+    """Converting each matrix as its object closes returns the same bits, or refuses with the same error."""
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    load, from_data = ((load_sat_instance, sat_instance_from_data) if "operators" in data
+                       else (load_circuit, circuit_from_data))
+    assert outcome(load, str(path)) == outcome(lambda p: load_from_lists(p, from_data), str(path))
+
+
 def test_loads_leave_the_collector_as_they_found_it(tmp_path):
     files = {load_hamiltonian: tmp_path / "h.json", load_circuit: tmp_path / "c.json",
              load_sat_instance: tmp_path / "s.json"}
@@ -877,6 +982,20 @@ def test_cli_refuses_a_negative_or_non_finite_tol(tmp_path, capsys, tol):
         assert "argument --tol: " in err and repr(tol) in err
     assert not (tmp_path / "r.json").exists()
     assert run_command(["ham", "check", str(hamiltonian), "--tol", "0", "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("a, b", [("-inf", "inf"), ("nan", "1"), ("inf", "1"), ("0", "inf"), ("0", "nan"),
+                                  ("0", "-inf")])
+def test_cli_refuses_non_finite_excited_thresholds(tmp_path, capsys, a, b):
+    """float() reads all three, and -inf < inf passed the b > a check and wrote Infinity, which JSON does not allow."""
+    hamiltonian, out = tmp_path / "h.json", tmp_path / "r.json"
+    save_hamiltonian(random_instance(2, seed=1), str(hamiltonian))
+    argv = ["protocol", "excited", str(hamiltonian), "--c", "1", f"--a={a}", f"--b={b}", "--out", str(out)]
+    assert run_command(argv) == 2  # = keeps -inf a value
+    refused = "--a" if not math.isfinite(float(a)) else "--b"
+    err = capsys.readouterr().err
+    assert f"argument {refused}: must be a finite number, got {(a if refused == '--a' else b)!r}" in err
+    assert not out.exists()
 
 
 def test_cli_dense_cap_reaches_every_solver(tmp_path, capsys, monkeypatch):
