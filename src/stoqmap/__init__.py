@@ -10,6 +10,8 @@ decision problems whose answers can be checked exactly at a few qubits.
 
 from .errors import ContractError, ConvergenceError, ResourceError
 from .pauli import (
+    DEFAULT_TOL,
+    DENSE_CAP,
     MAX_QUBITS,
     LocalHamiltonian,
     build_matrix,
@@ -19,8 +21,6 @@ from .pauli import (
     remap_qubits,
 )
 from .classify import (
-    DEFAULT_TOL,
-    DENSE_CAP,
     MatrixClassFlags,
     classify,
     kernel_projector_complement,

@@ -14,10 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, ConvergenceError, ResourceError
-from .pauli import (DENSE_CAP, DENSE_DIFF_DIM, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries, _is_hermitian,
-                    _max_abs, _scatter_sum, _skew)
-
-DEFAULT_TOL = 1e-10
+from .pauli import (DEFAULT_TOL, DENSE_CAP, DENSE_DIFF_DIM, HERMITIAN_TOL, KERNEL_PSD_FLOOR, _csr_entries,
+                    _is_hermitian, _max_abs, _scatter_sum, _skew)
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,15 @@ class MatrixClassFlags:
 def _as_csr(M) -> sp.csr_matrix:
     """M as canonical CSR (sorted indices, duplicates summed), copied only when M is not one.
 
-    Flags and propagators read stored entries, so a duplicate must count as its sum.
+    Flags and propagators read stored entries, so a duplicate must count as its sum, and a
+    non-finite one is refused: no flag or eigensolve can answer for it.
     """
     A = M.tocsr() if sp.issparse(M) else sp.csr_matrix(np.asarray(M))
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
+    if not np.isfinite(A.data).all():
+        raise ContractError("matrix has non-finite entries")
     return A
 
 

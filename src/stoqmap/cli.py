@@ -23,7 +23,7 @@ from .classify import _as_csr, classify
 from .clock import block_matrix, build_ff, clock_state_index, gap_formulas, gap_scan, history_state
 from .errors import ContractError, ConvergenceError, ResourceError
 from .mapping import add_ancilla_penalty, add_penalty_complex, stochastize, stochastize_complex, stoquastize
-from .pauli import DENSE_CAP, MAX_QUBITS, _max_abs, build_matrix
+from .pauli import DEFAULT_TOL, DENSE_CAP, MAX_QUBITS, _max_abs, build_matrix
 from .protocols import ExcitedEnergyProblem, _verdict, decide_sat, reduce_qsat
 from .spectra import _flags_and_spectrum, eig_dense, spectral_report
 
@@ -59,7 +59,7 @@ def _out_flag(parser: argparse.ArgumentParser):
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=_tol, default=1e-10)
+    parser.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     parser.add_argument("--dense-cap", type=_dense_cap, default=DENSE_CAP)
     _out_flag(parser)
 
@@ -70,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ham = sub.add_parser("ham", help="inspect a Hamiltonian file")
+    ham.set_defaults(run=_cmd_ham)
     ham_sub = ham.add_subparsers(dest="action", required=True)
     for action in ("check", "spectrum"):
         p = ham_sub.add_parser(action)
@@ -77,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _common_flags(p)
 
     mp = sub.add_parser("map", help="apply a sign- or phase-elimination map")
+    mp.set_defaults(run=_cmd_map)
     mp_sub = mp.add_subparsers(dest="action", required=True)
     for action in ("stoquastic", "stochastic", "complex"):
         p = mp_sub.add_parser(action)
@@ -93,16 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
     clock = sub.add_parser("clock", help="clock-construction Hamiltonians")
     clock_sub = clock.add_subparsers(dest="action", required=True)
     p = clock_sub.add_parser("build")
+    p.set_defaults(run=_cmd_clock_build)
     p.add_argument("circuit")
     p.add_argument("--s", type=float, default=0.5)
     _common_flags(p)
     p = clock_sub.add_parser("gap-scan")
+    p.set_defaults(run=_cmd_clock_scan)
     p.add_argument("--Lmin", type=int, required=True)
     p.add_argument("--Lmax", type=int, required=True)
     p.add_argument("--s-samples", type=int, default=3, dest="s_samples")
     _out_flag(p)
 
     ad = sub.add_parser("adiabatic", help="schedule a clock Hamiltonian and sample the result")
+    ad.set_defaults(run=_cmd_adiabatic)
     ad_sub = ad.add_subparsers(dest="action", required=True)
     p = ad_sub.add_parser("run")
     p.add_argument("circuit")
@@ -113,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     proto = sub.add_parser("protocol", help="eigenvalue-threshold decision protocols")
+    proto.set_defaults(run=_cmd_protocol)
     proto_sub = proto.add_subparsers(dest="action", required=True)
     p = proto_sub.add_parser("excited")
     p.add_argument("hamiltonian")
@@ -122,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     sat = sub.add_parser("sat", help="satisfiability instances")
+    sat.set_defaults(run=_cmd_sat)
     sat_sub = sat.add_subparsers(dest="action", required=True)
     p = sat_sub.add_parser("reduce")
     p.add_argument("instance")
@@ -292,10 +299,8 @@ def _cmd_adiabatic(args, argv) -> int:
         "legal_sector_leakage": leakage,
         "clock_success_probability": measurement.clock_success_probability,
         "clock_success_frequency": measurement.clock_success_frequency,
-        "decoded_counts": dict(sorted(measurement.decoded_counts.items())),
-        "decoded_distribution_exact": {
-            k: v for k, v in sorted(measurement.decoded_distribution_exact.items())
-        },
+        "decoded_counts": measurement.decoded_counts,  # report_to_json sorts keys
+        "decoded_distribution_exact": measurement.decoded_distribution_exact,
         "decoded_total_variation": tv,
         "max_norm_drift": float(np.max(np.abs(trace.norms - 1.0))),
     }
@@ -350,20 +355,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "ham":
-            return _cmd_ham(args, argv)
-        if args.command == "map":
-            return _cmd_map(args, argv)
-        if args.command == "clock":
-            if args.action == "build":
-                return _cmd_clock_build(args, argv)
-            return _cmd_clock_scan(args, argv)
-        if args.command == "adiabatic":
-            return _cmd_adiabatic(args, argv)
-        if args.command == "protocol":
-            return _cmd_protocol(args, argv)
-        if args.command == "sat":
-            return _cmd_sat(args, argv)
+        return args.run(args, argv)  # the handler the parsed subcommand's parser set
     except (ContractError, ResourceError, ConvergenceError) as exc:
         best = getattr(exc, "best_residual", None)
         print(f"error: {exc}" + ("" if best is None else f" (best residual {best:.3e})"), file=sys.stderr)
@@ -371,7 +363,6 @@ def run_command(argv: list[str]) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

@@ -59,7 +59,7 @@ class Gate:
             d = 1 << len(self.qubits)
             if U.shape != (d, d):
                 raise ContractError(f"CUSTOM matrix must be {d}x{d}")
-            if np.max(np.abs(U.conj().T @ U - np.eye(d))) > 1e-12:
+            if not np.max(np.abs(U.conj().T @ U - np.eye(d))) <= 1e-12:  # true for nan too
                 raise ContractError("CUSTOM matrix is not unitary")
             U = U.copy()
             U.setflags(write=False)

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from itertools import chain
 from typing import Any
 
@@ -36,11 +37,11 @@ def _require(cond: bool, where: str, msg: str):
         raise ContractError(f"{where}: {msg}")
 
 
-def _read_json(path: str, object_hook=None):
-    """Parsed contents of a JSON file, which must be UTF-8 text."""
+def _read_json(path: str):
+    """Parsed contents of a JSON file, which must be UTF-8 text, each dense matrix converted by _dense_matrices."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+            return json.load(fh, object_hook=_dense_matrices)
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
@@ -49,12 +50,12 @@ def _read_json(path: str, object_hook=None):
         raise ContractError(f"{path}: {exc}") from None
 
 
-def _load(path: str, from_data, object_hook=None):
+def _load(path: str, from_data):
     """from_data of the file at path, with the cyclic collector paused: parsed JSON holds no cycles to find."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return from_data(_read_json(path, object_hook), where=path)
+        return from_data(_read_json(path), where=path)
     finally:
         if enabled:
             gc.enable()
@@ -226,7 +227,7 @@ def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
 
 
 def load_circuit(path: str) -> QuantumCircuit:
-    return _load(path, circuit_from_data, _dense_matrices)
+    return _load(path, circuit_from_data)
 
 
 def save_circuit(circuit: QuantumCircuit, path: str) -> None:
@@ -299,7 +300,7 @@ def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstan
 
 
 def load_sat_instance(path: str) -> SatInstance:
-    return _load(path, sat_instance_from_data, _dense_matrices)
+    return _load(path, sat_instance_from_data)
 
 
 def save_sat_instance(instance: SatInstance, path: str) -> None:
@@ -309,17 +310,9 @@ def save_sat_instance(instance: SatInstance, path: str) -> None:
 # -------------------------------------------------------------------- reports
 
 def spectral_report_to_data(report: SpectralReport) -> dict:
-    return {
-        "ground_energy": report.ground_energy,
-        "spectral_gap": report.spectral_gap,
-        "top_eigenvalue": report.top_eigenvalue,
-        "second_largest_magnitude": report.second_largest_magnitude,
-        "perron_top_is_one": report.perron_top_is_one,
-        "perron_uniform_overlap": report.perron_uniform_overlap,
-        "flags": report.flags.as_dict(),
-        "eigenvalues": None if report.eigenvalues is None else report.eigenvalues.tolist(),
-        "method": report.method,
-    }
+    data = asdict(report)  # asdict copies an array in one piece but a list entry by entry, so convert after
+    data["eigenvalues"] = None if report.eigenvalues is None else report.eigenvalues.tolist()
+    return data
 
 
 def make_report(command: list[str], seed: int, tol: float, results: dict, checks: list[dict]) -> dict:

@@ -25,6 +25,8 @@ DENSE_CAP = 4096
 DENSE_DIFF_DIM = 128  # _skew and classify._square_residual subtract dense copies up to this dimension
 # Largest entry of A - A^dagger, relative to max(1, max|A|), that still counts as Hermitian.
 HERMITIAN_TOL = 1e-10
+# The default tol of every flag, check and eigensolve that takes one, and of the CLI's --tol.
+DEFAULT_TOL = 1e-10
 # kernel_projector_complement accepts a lowest eigenvalue down to -max(tol, KERNEL_PSD_FLOOR).
 KERNEL_PSD_FLOOR = 1e-8
 # stochastize_ff refuses an input term whose lowest eigenvalue is below -FF_PSD_FLOOR.

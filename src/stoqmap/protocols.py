@@ -18,7 +18,7 @@ from . import mapping
 from .classify import _check_dense_cap, _eigh, classify
 from .errors import ContractError
 from .pauli import (
-    DENSE_CAP, LocalHamiltonian, _check_qubits, _csr_entries, _factor_masks, _sum_terms, build_matrix,
+    DEFAULT_TOL, DENSE_CAP, LocalHamiltonian, _check_qubits, _csr_entries, _factor_masks, _sum_terms, build_matrix,
     pauli_decompose,
 )
 
@@ -42,7 +42,7 @@ class SatInstance:
     def __post_init__(self):
         if self.kind not in ("quantum", "stoquastic", "stochastic"):
             raise ContractError(f"unknown instance kind {self.kind!r}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # true for nan too
             raise ContractError("epsilon must be positive")
         ops = tuple(sp.csr_matrix(op) for op in self.operators)
         if not ops:
@@ -73,7 +73,7 @@ class SatInstance:
     def total(self) -> sp.csr_matrix:
         return _sum_terms(1 << self.n, ((1.0, *_csr_entries(op)) for op in self.operators))
 
-    def check(self, tol: float = 1e-10) -> None:
+    def check(self, tol: float = DEFAULT_TOL) -> None:
         """Enforce the class invariants (psd everywhere, flags match kind)."""
         for i, op in enumerate(self.operators):
             flags = classify(op, tol=tol)
@@ -91,7 +91,7 @@ class SatDecision:
     ground_energy: float
 
 
-def decide_sat(instance: SatInstance, tol: float = 1e-10, dense_cap: int = DENSE_CAP) -> SatDecision:
+def decide_sat(instance: SatInstance, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> SatDecision:
     """YES if the operator sum has a zero-energy state, NO if >= epsilon."""
     ground = float(_eigh(instance.total(), dense_cap, vectors=False)[0])
     verdict = _verdict(ground, tol, instance.epsilon - tol)
@@ -223,7 +223,7 @@ def slater_witness(states) -> np.ndarray:
         raise ContractError("need at least one state")
     d = vecs[0].size
     G = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.max(np.abs(G - np.eye(c))) > 1e-10:
+    if not np.max(np.abs(G - np.eye(c))) <= 1e-10:  # true for nan too
         raise ContractError("witness states must be orthonormal")
     out = np.zeros(d**c, dtype=complex)
     for perm in itertools.permutations(range(c)):
@@ -280,7 +280,7 @@ def lemma1_value(phi: np.ndarray, alpha: np.ndarray) -> float:
     if d**c != phi.size:
         raise ContractError("phi is not a c-fold tensor power of the alpha register")
     P = antisym_projector(d, c)
-    if np.linalg.norm(P @ phi - phi) > 1e-10 * max(1.0, np.linalg.norm(phi)):
+    if not np.linalg.norm(P @ phi - phi) <= 1e-10 * max(1.0, np.linalg.norm(phi)):  # true for nan too
         raise ContractError("phi is not antisymmetric")
     block = phi.reshape(d, d ** (c - 1))
     first = alpha.conj() @ block

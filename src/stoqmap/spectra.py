@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .classify import (MatrixClassFlags, _as_csr, _check_dense_cap, _classify, _eigh, _eigsh, _residuals,
                        _square_csr)
 from .errors import ContractError
-from .pauli import DENSE_CAP, _is_hermitian
+from .pauli import DEFAULT_TOL, DENSE_CAP, _is_hermitian
 
 # Eigenvalues closer than this are reported as one multiplet.
 DEGENERACY_TOL = 1e-8
@@ -65,7 +65,7 @@ def eig_dense(M, dense_cap: int = DENSE_CAP, compute_vectors: bool = True) -> Sp
     return Spectrum(vals, vecs, res, method)
 
 
-def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = 1e-10, seed: int = 0,
+def eig_extremal(M, k: int = 1, which: str = "lowest", tol: float = DEFAULT_TOL, seed: int = 0,
                  dense_cap: int = DENSE_CAP) -> Spectrum:
     """k extremal ("lowest" or "highest") eigenpairs of a Hermitian matrix, seeded and iterative (dense,
     under dense_cap, when k >= dim - 1)."""
@@ -115,7 +115,7 @@ def _flags_and_spectrum(A: sp.csr_matrix, tol: float, dense_cap: int, compute_ve
     return replace(flags, psd=float(vals[0]) >= -tol), Spectrum(vals, vecs, None, "dense"), None
 
 
-def spectral_report(M, tol: float = 1e-10, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
+def spectral_report(M, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectralReport:
     """Classify a matrix and assemble its extremal spectral data.
 
     Each branch yields the edge eigenvalues (ascending, each eigenvalue

@@ -117,6 +117,22 @@ def test_loose_tol_loosens_the_hermitian_check_of_the_eigensolve():
     assert np.allclose(P, np.diag([0.0, 1.0]), atol=1e-7)
 
 
+# Stored entries no flag can answer for: nan, +-inf, and two finite duplicates whose sum overflows.
+NON_FINITE = {
+    "nan": sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 0.0]])),
+    "inf": sp.csr_matrix(np.diag([np.inf, 1.0])),
+    "-inf": sp.csr_matrix(np.diag([1.0, -np.inf])),
+    "overflowing duplicates": sp.csr_matrix((np.array([1e308, 1e308, 1.0]), np.array([0, 0, 1]),
+                                             np.array([0, 2, 3])), shape=(2, 2)),
+}
+
+
+@pytest.mark.parametrize("M", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_classify_refuses_non_finite_entries(M):
+    with pytest.raises(ContractError, match="matrix has non-finite entries"):
+        classify(M)
+
+
 def test_dense_cap_enforced():
     M = sp.identity(16, format="csr")
     with pytest.raises(ResourceError):

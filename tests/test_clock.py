@@ -74,6 +74,12 @@ def test_custom_gate_rejects_non_unitary():
         custom([0], [[1.0, 1.0], [0.0, 1.0]])
 
 
+def test_custom_gate_rejects_a_nan_matrix():
+    """nan fails every comparison, so a unitarity test written as "deviation > tol" would pass it."""
+    with pytest.raises(ContractError, match="CUSTOM matrix is not unitary"):
+        custom([0], [[np.nan, 0.0], [0.0, 1.0]])
+
+
 def test_custom_gate_arity_limit():
     with pytest.raises(ContractError):
         custom([0, 1, 2], np.eye(8))

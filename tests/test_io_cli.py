@@ -632,6 +632,23 @@ def test_loaders_match_from_data_of_the_parsed_lists(tmp_path_factory, data):
     assert outcome(load, str(path)) == outcome(lambda p: load_from_lists(p, from_data), str(path))
 
 
+@pytest.mark.parametrize("matrix", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [["a"], []]],
+                         ids=["valid", "malformed"])
+def test_hamiltonian_terms_with_a_matrix_key_load_as_without_it(tmp_path, matrix):
+    """Every loader converts "matrix" lists as their objects close; a Hamiltonian file ignores the key either way."""
+    data = hamiltonian_to_data(random_instance(2, seed=3, include_y=True))
+    plain, keyed = tmp_path / "plain.json", tmp_path / "keyed.json"
+    plain.write_text(json.dumps(data), encoding="utf-8")
+    for term in data["terms"]:
+        term["matrix"] = matrix
+    keyed.write_text(json.dumps(data), encoding="utf-8")
+    want, got = load_hamiltonian(str(plain)), load_hamiltonian(str(keyed))
+    assert got.n == want.n and got.num_terms == want.num_terms > 0
+    for field in ("x", "z", "coeff"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
 def test_loads_leave_the_collector_as_they_found_it(tmp_path):
     files = {load_hamiltonian: tmp_path / "h.json", load_circuit: tmp_path / "c.json",
              load_sat_instance: tmp_path / "s.json"}

@@ -1,4 +1,5 @@
 """Each cap, tolerance and shared helper is defined in exactly one module,
+no default restates DEFAULT_TOL, each CLI command runs the handler its parser declares,
 every dense eigensolve goes through one function, and so does every
 iterative eigensolve, every JSON write, every canonicalization of a sparse matrix
 and every sum of sparse terms.
@@ -6,11 +7,12 @@ Pauli strings are realized and decomposed from the packed form, never one
 Kronecker product at a time, and local matrices are embedded from their
 dense nonzeros, never through a scipy COO object per term."""
 
+import argparse
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stoqmap"
-SINGLE = ("DENSE_CAP", "DENSE_DIFF_DIM", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR",
+SINGLE = ("DEFAULT_TOL", "DENSE_CAP", "DENSE_DIFF_DIM", "DEGENERACY_TOL", "FF_PSD_FLOOR", "HERMITIAN_TOL", "KERNEL_PSD_FLOOR",
           "MAX_QUBITS", "PAULI_DROP_TOL", "PAULI_IMAG_TOL", "_as_csr", "_eigh", "_eigsh", "_factor_masks",
           "_is_hermitian", "_max_abs", "_scatter_sum", "_skew", "_term_phases")
 # Each LAPACK or ARPACK eigensolver may be named only inside its one gate (module.function).
@@ -135,6 +137,57 @@ def test_pauli_and_mapping_use_no_kron_or_product_loops():
                 found += [f"{name}:{node.lineno} from {node.module} import {a.name}"
                           for a in node.names if (node.module, a.name) in BANNED]
     assert not found, found
+
+
+def test_no_default_is_a_bare_tolerance_literal():
+    """Every 1e-10 default (of a function, or an argparse default=) is DEFAULT_TOL, which pauli.py defines."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arguments):
+                defaults = [*node.defaults, *node.kw_defaults]
+            elif isinstance(node, ast.keyword) and node.arg == "default":
+                defaults = [node.value]
+            else:
+                continue
+            found += [f"{path.name}:{d.lineno}" for d in defaults
+                      if isinstance(d, ast.Constant) and type(d.value) is float and d.value == 1e-10]
+    assert not found, found
+    assert "DEFAULT_TOL" in set(_defined_names(ast.parse((SRC / "pauli.py").read_text(encoding="utf-8"))))
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every parser of the CLI that declares no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_commands_run_the_handler_their_parser_declares():
+    """run_command names no subcommand or action; each leaf's parsed arguments carry their handler as run."""
+    from stoqmap import cli
+
+    parser = cli._build_parser()
+    leaves = list(_leaf_parsers(parser))
+    assert len(leaves) == 11
+    run = next(node for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "run_command")
+    strings = {node.value for node in ast.walk(run) if isinstance(node, ast.Constant)}
+    attributes = {node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute)}
+    assert not strings & {name for path, _ in leaves for name in path}
+    assert not attributes & {"command", "action"}
+    for path, leaf in leaves:
+        argv = list(path)
+        for action in leaf._actions:  # a placeholder for each required argument: parsing is all this checks
+            if not action.option_strings:
+                argv.append("1")
+            elif action.required:
+                argv += [action.option_strings[0], "1"]
+        handler = parser.parse_args(argv).run
+        assert handler.__module__ == "stoqmap.cli" and handler.__name__.startswith("_cmd_"), path
 
 
 def test_cli_names_no_eigensolver_or_classifier():

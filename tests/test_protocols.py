@@ -137,6 +137,11 @@ def test_slater_rejects_non_orthonormal():
         slater_witness([np.array([1.0, 0.0]), np.array([0.6, 0.8])])
 
 
+def test_slater_rejects_a_nan_state():
+    with pytest.raises(ContractError, match="witness states must be orthonormal"):
+        slater_witness([np.array([np.nan, 0.0])])
+
+
 # ----------------------------------------------------- antisymmetric space
 
 def test_antisym_projector_ranks():
@@ -184,6 +189,14 @@ def test_lemma1_rejects_symmetric_state():
     sym = np.kron(e[0], e[0])
     with pytest.raises(ContractError, match="antisymmetric"):
         lemma1_value(sym, e[0])
+
+
+def test_lemma1_rejects_a_nan_state():
+    e = np.eye(2)
+    phi = slater_witness([e[0], e[1]])
+    phi[1] = np.nan
+    with pytest.raises(ContractError, match="phi is not antisymmetric"):
+        lemma1_value(phi, e[0])
 
 
 # ------------------------------------------------------ acceptance operator
@@ -286,8 +299,9 @@ def test_excited_energy_problem_validates():
 def test_sat_instance_validation():
     with pytest.raises(ContractError, match="kind"):
         SatInstance(n=1, operators=(build_matrix(proj_one()),), epsilon=1.0, kind="classical")
-    with pytest.raises(ContractError, match="epsilon"):
-        SatInstance.from_paulis([proj_one()], epsilon=0.0)
+    for epsilon in (0.0, float("nan")):
+        with pytest.raises(ContractError, match="epsilon"):
+            SatInstance.from_paulis([proj_one()], epsilon=epsilon)
     with pytest.raises(ContractError, match="operator"):
         SatInstance(n=1, operators=(), epsilon=1.0, kind="quantum")
 

@@ -56,6 +56,14 @@ def test_eig_dense_refuses_a_non_square_matrix_before_the_cap():
             spectral_report(M)
 
 
+@pytest.mark.parametrize("solve", [eig_dense, spectral_report], ids=["eig_dense", "spectral_report"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_entry_points_refuse_non_finite_entries(solve, bad):
+    """Refused as a contract breach before any solve, not left to LAPACK."""
+    with pytest.raises(ContractError, match="matrix has non-finite entries"):
+        solve(sp.csr_matrix(np.array([[1.0, bad], [bad, 0.0]])))
+
+
 def test_eig_dense_reports_its_branch_and_hermiticity_is_tested_once(monkeypatch):
     assert eig_dense(np.diag([1.0, 2.0])).method == "dense"
     assert eig_dense(np.array([[0.0, 1.0], [0.0, 0.0]])).method == "dense_general"
