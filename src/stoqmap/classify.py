@@ -70,6 +70,11 @@ def _check_dense_cap(dim: int, dense_cap: int) -> None:
         raise ResourceError(f"dimension {dim} exceeds the dense cap {dense_cap}")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:  # false for nan too
+        raise ContractError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _eigh(M, dense_cap: int, vectors: bool = True, tol: float = HERMITIAN_TOL):
     """The one dense Hermitian eigensolve: eigh(M), or eigvalsh(M) without vectors.
 
@@ -149,6 +154,7 @@ def _classify(A: sp.csr_matrix, tol: float, dense_cap: int, lowest: float | None
     Otherwise a diagonal entry with real part below -tol decides psd with
     no solve: lambda_min <= Re A_ii, the Rayleigh quotient of a basis vector.
     """
+    _check_tol(tol)
     if A.shape[0] != A.shape[1]:
         raise ContractError("classify expects a square matrix")
     rows, cols, data = _csr_entries(A)

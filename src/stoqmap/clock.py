@@ -212,10 +212,16 @@ def _propagation_pieces(circuit: QuantumCircuit) -> list[tuple]:
     return out
 
 
-def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
-    """Assemble the frustration-free Hamiltonian H^FF(s) for a circuit."""
+def _check_s(s: float, L: int = 1) -> None:
     if not (0.0 <= s <= 0.5):
         raise ContractError(f"s must lie in [0, 1/2], got {s}")
+    if L < 1:
+        raise ContractError("need L >= 1")
+
+
+def build_ff(circuit: QuantumCircuit, s: float) -> FFHamiltonian:
+    """Assemble the frustration-free Hamiltonian H^FF(s) for a circuit."""
+    _check_s(s)
     fixed = _fixed_terms(circuit)
     b = float(np.sqrt(s * (1.0 - s)))
     props = tuple(ClockTerm(f"prop_{j}", qubits, s * lo + (1.0 - s) * hi - b * hop)
@@ -254,8 +260,7 @@ def clock_state_index(t: int, L: int) -> int:
 
 def history_state(circuit: QuantumCircuit, s: float) -> np.ndarray:
     """Normalized ground state sum_j r^j psi_j (x) c_j of H^FF(s)."""
-    if not (0.0 <= s <= 0.5):
-        raise ContractError(f"s must lie in [0, 1/2], got {s}")
+    _check_s(s)
     L, n = circuit.L, circuit.n
     r = float(np.sqrt(s / (1.0 - s)))
     states = circuit.statevectors()
@@ -285,10 +290,7 @@ def block_matrix(hamming_weight: int, s: float, L: int) -> BlockMatrix:
     """Block M_x: diag(s+|x|, 1, ..., 1, 1-s) with -sqrt(s(1-s)) couplings."""
     if hamming_weight < 0:
         raise ContractError("Hamming weight cannot be negative")
-    if L < 1:
-        raise ContractError("need L >= 1")
-    if not (0.0 <= s <= 0.5):
-        raise ContractError(f"s must lie in [0, 1/2], got {s}")
+    _check_s(s, L)
     b = float(np.sqrt(s * (1.0 - s)))
     M = np.zeros((L + 1, L + 1))
     M[np.diag_indices(L + 1)] = 1.0
@@ -310,10 +312,7 @@ def gap_formulas(s: float, L: int) -> tuple[float, float]:
     s = 1/2 and strict in between: at L = 1 the ground energy is
     1 - sqrt(s), while the formula gives 1 - sqrt(2 s (1-s)).
     """
-    if not (0.0 <= s <= 0.5):
-        raise ContractError(f"s must lie in [0, 1/2], got {s}")
-    if L < 1:
-        raise ContractError("need L >= 1")
+    _check_s(s, L)
     b2 = 2.0 * np.sqrt(s * (1.0 - s))
     block_gap = 1.0 - b2 * np.cos(np.pi / (L + 1))
     full_gap = 1.0 - b2 * np.cos(np.pi / (2 * (L + 1)))

@@ -12,7 +12,9 @@ import gc
 import io as _io
 import json
 import math
+import os
 import re
+import stat
 import sys
 from contextlib import suppress
 from dataclasses import asdict
@@ -61,10 +63,14 @@ def _load(path: str, from_data):
             gc.enable()
 
 
-def _check_version(data: dict, where: str):
+def _qubit_count(data: dict, where: str) -> int:
+    """The "n" of a file object of this format version, checked after the version."""
     _require(isinstance(data, dict), where, "expected a JSON object")
     version = data.get("version")
     _require(version == FORMAT_VERSION, where, f"unsupported version {version!r}")
+    n = data.get("n")
+    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
+    return n
 
 
 class _DenseMatrix:
@@ -133,9 +139,7 @@ def _finite(value) -> bool:
 
 
 def hamiltonian_from_data(data: dict, where: str = "hamiltonian") -> LocalHamiltonian:
-    _check_version(data, where)
-    n = data.get("n")
-    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
+    n = _qubit_count(data, where)
     terms = data.get("terms", [])
     _require(isinstance(terms, list), where, "terms must be a list")
     items = []
@@ -196,9 +200,7 @@ def circuit_to_data(circuit: QuantumCircuit) -> dict:
 
 
 def circuit_from_data(data: dict, where: str = "circuit") -> QuantumCircuit:
-    _check_version(data, where)
-    n = data.get("n")
-    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
+    n = _qubit_count(data, where)
     gates_data = data.get("gates", [])
     _require(isinstance(gates_data, list), where, "gates must be a list")
     gates = []
@@ -256,9 +258,7 @@ def sat_instance_to_data(instance: SatInstance) -> dict:
 
 
 def sat_instance_from_data(data: dict, where: str = "sat instance") -> SatInstance:
-    _check_version(data, where)
-    n = data.get("n")
-    _require(type(n) is int and n >= 1, where, f"bad qubit count {n!r}")
+    n = _qubit_count(data, where)
     _check_qubits(n)  # before any 1 << n
     epsilon = data.get("epsilon")
     _require(type(epsilon) in (int, float) and epsilon > 0, where, f"bad epsilon {epsilon!r}")
@@ -390,12 +390,20 @@ def write_report(report: dict, path: str | None) -> None:
 
 
 def write_text(pieces, path: str | None) -> None:
-    """The strings of pieces, one after another, to the file at path, or to stdout when path is None."""
+    """The strings of pieces, one after another, to the file at path, or to stdout when path is None.
+
+    A file is overwritten in place and cut after the new text: ext4 flushes a file truncated to zero on open
+    when it closes. A run killed before the cut leaves the old tail after the new text; a power cut may leave
+    old bytes."""
     if path is None:
         sys.stdout.writelines(pieces)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            try:
+                fh.writelines(pieces)
+            finally:  # also when pieces raise; /dev/null, a pipe or a tty cannot be truncated
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
 
 
 GAP_SCAN_COLUMNS = [

@@ -173,12 +173,17 @@ def stochastize(H: LocalHamiltonian) -> MappedHamiltonian:
     S- (x) X; the convex combination with weights alpha_k / N is the
     realized matrix, equal to (H (x) |-><-| + Hbar (x) |+><+|) / N.
     """
+    return _normalized(H, 2, "stochastic")
+
+
+def _normalized(H: LocalHamiltonian, cycle: int, kind: str) -> MappedHamiltonian:
+    """H's terms on an ancilla cycle of that length (2 or 4), weighted alpha_k / N."""
     if not H.num_terms:
         raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
     N = H.N
-    alpha, rows = _cycle_rows(H, 2)
+    alpha, rows = _cycle_rows(H, cycle)
     return MappedHamiltonian(
-        n=H.n, ancilla_count=1, weights=alpha / N, rows=rows, normalization=N, kind="stochastic"
+        n=H.n, ancilla_count=cycle // 2, weights=alpha / N, rows=rows, normalization=N, kind=kind
     )
 
 
@@ -206,13 +211,7 @@ def stochastize_complex(H: LocalHamiltonian) -> MappedHamiltonian:
     of the ancilla 4-cycle. Sector v_1 carries H/N, sector v_3 carries
     the conjugate; sector_operator reads any of the four off the map.
     """
-    if not H.num_terms:
-        raise ContractError("cannot normalize an empty Hamiltonian (N = 0)")
-    N = H.N
-    alpha, rows = _cycle_rows(H, 4)
-    return MappedHamiltonian(
-        n=H.n, ancilla_count=2, weights=alpha / N, rows=rows, normalization=N, kind="stochastic-z4"
-    )
+    return _normalized(H, 4, "stochastic-z4")
 
 
 def add_penalty_complex(mapped: MappedHamiltonian, p: float) -> MappedHamiltonian:

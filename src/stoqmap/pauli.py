@@ -83,6 +83,11 @@ def _check_qubits(qubits: int) -> None:
         raise ResourceError(f"{qubits} qubits exceed the {MAX_QUBITS}-qubit realization cap")
 
 
+def _check_n(n: int, suffix: str = "") -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ContractError(f"need at least one qubit{suffix}")
+
+
 def _sum_terms(dim: int, pieces) -> sp.csr_matrix:
     """Sum of weighted sparse pieces as one dim x dim CSR matrix.
 
@@ -163,8 +168,7 @@ class LocalHamiltonian:
     coeff: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ContractError(f"need at least one qubit, got n={self.n!r}")
+        _check_n(self.n, f", got n={self.n!r}")
         x, z = (np.asarray(m, dtype=np.int64).ravel() for m in (self.x, self.z))
         coeff = np.asarray(self.coeff, dtype=float).ravel()
         if not x.size == z.size == coeff.size:
@@ -337,8 +341,7 @@ def random_instance(n: int, locality: int = 2, seed: int = 0, include_y: bool = 
     given the seed. locality 1 gives single-qubit fields only, locality
     2 adds two-qubit XX and ZZ couplings (plus XY when include_y).
     """
-    if n < 1:
-        raise ContractError("need at least one qubit")
+    _check_n(n)
     if locality not in (1, 2):
         raise ContractError("locality must be 1 or 2")
     words: list[dict[int, str]] = []

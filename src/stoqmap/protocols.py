@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mapping
-from .classify import _check_dense_cap, _eigh, classify
+from .classify import _check_dense_cap, _check_tol, _eigh, classify
 from .errors import ContractError
 from .pauli import (
     DEFAULT_TOL, DENSE_CAP, LocalHamiltonian, _check_qubits, _csr_entries, _factor_masks, _sum_terms, build_matrix,
@@ -93,9 +93,15 @@ class SatDecision:
 
 def decide_sat(instance: SatInstance, tol: float = DEFAULT_TOL, dense_cap: int = DENSE_CAP) -> SatDecision:
     """YES if the operator sum has a zero-energy state, NO if >= epsilon."""
+    _check_tol(tol)
     ground = float(_eigh(instance.total(), dense_cap, vectors=False)[0])
     verdict = _verdict(ground, tol, instance.epsilon - tol)
     return SatDecision(verdict=verdict, ground_energy=ground)
+
+
+def _check_c(c: int) -> None:
+    if c < 1:
+        raise ContractError("c must be at least 1")
 
 
 def _verdict(value: float, yes_at_most: float, no_at_least: float) -> str:
@@ -160,8 +166,7 @@ class ExcitedEnergyProblem:
     b: float
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ContractError("c must be at least 1")
+        _check_c(self.c)
         if not self.b > self.a:
             raise ContractError("need b > a")
 
@@ -186,8 +191,7 @@ def build_Hc(c: int, n: int) -> LocalHamiltonian:
     d = ceil(log2 c); the -(c - 1/2) shift puts the lowest nonnegative
     eigenvalue at exactly 1/2.
     """
-    if c < 1:
-        raise ContractError("c must be at least 1")
+    _check_c(c)
     d = math.ceil(math.log2(c)) if c > 1 else 0
     if n < d + 1:
         raise ContractError(f"need n >= {d + 1} qubits for c={c}")
@@ -254,8 +258,7 @@ def _perm_sign(perm) -> int:
 
 def antisym_projector(d: int, c: int, dense_cap: int = DENSE_CAP) -> sp.csr_matrix:
     """Projector onto the antisymmetric subspace of (C^d)^(x c); rank C(d, c)."""
-    if c < 1:
-        raise ContractError("c must be at least 1")
+    _check_c(c)
     if c > d:
         raise ContractError(f"antisymmetric subspace of c={c} copies of dimension {d} is empty")
     dim = d**c
@@ -306,8 +309,7 @@ def acceptance_operator(
     number of eigenvalues below the threshold. H may be a
     LocalHamiltonian or a Hermitian matrix.
     """
-    if c < 1:
-        raise ContractError("c must be at least 1")
+    _check_c(c)
     if isinstance(H, LocalHamiltonian):
         H = build_matrix(H)
     d = np.shape(H)[0]

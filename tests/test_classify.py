@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from stoqmap import (
     ResourceError,
     classify,
     kernel_projector_complement,
+    spectral_report,
     stochastize,
 )
 from stoqmap.classify import _square_residual
@@ -131,6 +134,14 @@ NON_FINITE = {
 def test_classify_refuses_non_finite_entries(M):
     with pytest.raises(ContractError, match="matrix has non-finite entries"):
         classify(M)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12, float("inf")])
+def test_classify_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
+    for check in (classify, spectral_report):
+        with pytest.raises(ContractError, match=re.escape(f"tol must be a finite number >= 0, got {tol!r}")):
+            check(np.eye(2), tol=tol)
+    assert classify(np.eye(2), tol=0.0).projector
 
 
 def test_dense_cap_enforced():

@@ -125,6 +125,22 @@ def test_ff_rejects_s_out_of_range():
         build_ff(QuantumCircuit(1, tuple(rot(0, 0.1) for _ in range(40))), 0.5)
 
 
+S_MESSAGE, L_MESSAGE = r"^s must lie in \[0, 1/2\], got ", r"^need L >= 1$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_ff(identity_circuit(1, 1), float("nan")), S_MESSAGE),
+    (lambda: history_state(identity_circuit(1, 1), 0.6), S_MESSAGE),
+    (lambda: block_matrix(0, -0.1, 2), S_MESSAGE),
+    (lambda: block_matrix(0, 0.3, 0), L_MESSAGE),
+    (lambda: gap_formulas(0.7, 2), S_MESSAGE),
+    (lambda: gap_formulas(0.3, 0), L_MESSAGE),
+])
+def test_schedule_and_clock_length_refusals_keep_their_messages(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 def test_every_term_is_a_projector():
     for s in (0.1, 0.5):
         ff = build_ff(rot_cnot_circuit(), s)

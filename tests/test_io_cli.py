@@ -57,7 +57,7 @@ from stoqmap import (
     stochastize,
     write_report,
 )
-from stoqmap.io import GAP_SCAN_COLUMNS, json_to_matrix, matrix_to_json
+from stoqmap.io import GAP_SCAN_COLUMNS, json_to_matrix, matrix_to_json, write_text
 
 from oracles import load_from_lists
 
@@ -700,6 +700,58 @@ def test_a_report_that_fails_to_serialize_leaves_the_file_untouched(tmp_path, ca
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_report(report, path)
     assert out.read_bytes() == before and capsys.readouterr().out == ""
+
+
+WRITER_REPORT = {"version": "1", "matrix": matrix_to_json(np.diag([1.0, -0.0, 2.5j])), "values": [0.5, -1.0]}
+
+
+@pytest.mark.parametrize("old_size", ["longer", "shorter", "same"])
+def test_a_report_written_over_a_file_leaves_exactly_its_bytes(tmp_path, old_size):
+    text = report_to_json(WRITER_REPORT).encode()
+    old = {"longer": b"x" * (3 * len(text)), "shorter": b"{}\n", "same": b"y" * len(text)}[old_size]
+    out = tmp_path / "r.json"
+    out.write_bytes(old)
+    write_report(WRITER_REPORT, str(out))
+    assert out.read_bytes() == text
+
+
+def test_pieces_that_raise_halfway_leave_exactly_the_pieces_written(tmp_path):
+    def pieces():
+        yield "first,"
+        yield "second,"
+        raise RuntimeError("halfway")
+
+    out = tmp_path / "r.txt"
+    out.write_text("an older and much longer text " * 100, encoding="utf-8")
+    with pytest.raises(RuntimeError, match="halfway"):
+        write_text(pieces(), str(out))
+    assert out.read_text(encoding="utf-8") == "first,second,"
+
+
+def test_the_writer_opens_without_truncating(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    out = tmp_path / "r.json"
+    out.write_text("old", encoding="utf-8")
+    monkeypatch.setattr(os, "open", recording_open)
+    write_report(WRITER_REPORT, str(out))
+    monkeypatch.undo()
+    assert flags and not any(flag & os.O_TRUNC for flag in flags), flags
+    assert out.read_text(encoding="utf-8") == report_to_json(WRITER_REPORT)
+
+
+def test_out_to_dev_null_and_to_a_directory(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    save_circuit(QuantumCircuit(1, (rot(0, 0.3),)), str(circuit))
+    assert run_command(["clock", "build", str(circuit), "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_command(["clock", "build", str(circuit), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_writing_the_reduced_clock_instance_allocates_less_than_twice_its_size(tmp_path):

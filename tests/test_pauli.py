@@ -49,6 +49,16 @@ def kron_oracle(n, factors, sign=1):
     return out
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LocalHamiltonian(0, [], [], []), r"^need at least one qubit, got n=0$"),
+    (lambda: LocalHamiltonian(1.5, [], [], []), r"^need at least one qubit, got n=1.5$"),
+    (lambda: random_instance(0), r"^need at least one qubit$"),
+])
+def test_registers_of_no_qubit_are_refused_with_their_messages(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 def test_single_z():
     H = LocalHamiltonian.from_signed(1, [(1.0, {0: "Z"})])
     assert np.allclose(build_matrix(H).toarray(), np.diag([1.0, -1.0]))

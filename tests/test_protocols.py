@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,24 @@ def test_decide_sat_yes_and_no():
     decision = decide_sat(unsat)
     assert decision.verdict == "NO"
     assert abs(decision.ground_energy - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+def test_decide_sat_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
+    sat = SatInstance.from_paulis([proj_one()], epsilon=1.0)
+    with pytest.raises(ContractError, match=re.escape(f"tol must be a finite number >= 0, got {tol!r}")):
+        decide_sat(sat, tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExcitedEnergyProblem(random_instance(2, seed=0), c=0, a=0.0, b=1.0),
+    lambda: build_Hc(0, 2),
+    lambda: antisym_projector(2, 0),
+    lambda: acceptance_operator(random_instance(1, seed=0), c=-1, threshold=0.0),
+])
+def test_each_entry_point_refuses_c_below_1_with_one_message(call):
+    with pytest.raises(ContractError, match=r"^c must be at least 1$"):
+        call()
 
 
 def test_reduction_of_satisfiable_instance():
