@@ -91,46 +91,47 @@ def _check_homes(homes):
     assert {owner for owner, _ in uses} == set(homes.values())
 
 
-# os.open flags that open a file for writing; O_TRUNC is also refused in the one writer, which overwrites in place.
+# os.open flags that open a file for writing.
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
-def _write_open(call):
-    """How call opens a file for writing: the os.O_* flags of an os.open, or the mode of an open; None if it does not.
+def _is_os_open(node) -> bool:
+    func = getattr(node, "func", None)
+    return isinstance(func, ast.Attribute) and func.attr == "open" and getattr(func.value, "id", None) == "os"
 
-    An os.open without flags, or an open whose mode is no string literal, counts as writing."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "open" and getattr(func.value, "id", None) == "os":
-        if len(call.args) < 2:
-            return set()
-        flags = {node.attr for node in ast.walk(call.args[1]) if isinstance(node, ast.Attribute)}
-        return flags if flags & WRITE_FLAGS else None
-    if getattr(func, "id", getattr(func, "attr", None)) != "open":
+
+def _write_open(call):
+    """(how, truncates) when call opens a file for writing, else None. An os.open without flags, or an open
+    whose mode is no string literal, counts as writing; a "w" open truncates unless it wraps an os.open."""
+    if _is_os_open(call):
+        flags = {node.attr for arg in call.args[1:2] for node in ast.walk(arg) if isinstance(node, ast.Attribute)}
+        return (ast.unparse(call), "O_TRUNC" in flags) if flags & WRITE_FLAGS or not flags else None
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
         return None
-    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    mode = call.args[1] if call.args[1:] else next((k.value for k in call.keywords if k.arg == "mode"), None)
     if mode is None or (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
         return None
-    return ast.unparse(mode)
+    return ast.unparse(call), "w" in str(getattr(mode, "value", "w")) and not _is_os_open(call.args[0])
 
 
 def _write_opens(node, owner, out):
-    """(enclosing module.function, how) for every call in node that opens a file for writing."""
+    """(enclosing module.function, how, truncates) for every call in node that opens a file for writing."""
     for child in ast.iter_child_nodes(node):
         inner = owner
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{owner.split('.')[0]}.{child.name}"
-        elif isinstance(child, ast.Call) and (how := _write_open(child)) is not None:
-            out.append((owner, how))
+        elif isinstance(child, ast.Call) and (found := _write_open(child)) is not None:
+            out.append((owner, *found))
         _write_opens(child, inner, out)
 
 
 def test_files_are_opened_for_writing_only_by_the_one_writer_and_never_truncated_on_open():
-    """Any writer added later must go through io.write_text, which overwrites in place (see its docstring)."""
+    """Any writer added later goes through io.write_text, which overwrites in place (see its docstring)."""
     opens = []
     for path in sorted(SRC.glob("*.py")):
         _write_opens(ast.parse(path.read_text(encoding="utf-8")), path.stem, opens)
-    assert {owner for owner, _ in opens} == {"io.write_text"}, opens
-    assert not any(isinstance(how, set) and "O_TRUNC" in how for _, how in opens), opens
+    assert {owner for owner, _, _ in opens} == {"io.write_text"}, opens
+    assert not [how for _, how, truncates in opens if truncates], opens
 
 
 def test_dense_eigensolvers_called_only_inside_their_gate():
